@@ -33,7 +33,9 @@ use crate::model::CausalTad;
 use crate::online::{ScorerState, SegmentTrace};
 use crate::scaling::ScalingTable;
 
-use crate::envelope::{open_envelope, seal_envelope, EnvelopeError};
+use crate::envelope::{
+    open_envelope_slice, seal_envelope_into, EnvelopeError, SummingReader, ENVELOPE_OVERHEAD,
+};
 
 const MAGIC: &[u8; 4] = b"TADM";
 const VERSION: u16 = 1;
@@ -239,29 +241,38 @@ impl From<EnvelopeError> for StateCodecError {
 /// (magic, version, length-prefixed payload, checksum) so it can be stored
 /// standalone or embedded length-prefixed inside a larger snapshot.
 pub fn state_to_bytes(state: &ScorerState) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64 + state.h.len() * 4 + state.trace.len() * 20);
-    payload.put_u32_le(state.h.cols() as u32);
-    for &x in state.h.data() {
-        payload.put_f32_le(x);
-    }
-    payload.put_f64_le(state.base_nll);
-    payload.put_f64_le(state.traj_nll);
-    payload.put_f64_le(state.scale_log_sum);
-    match state.last {
-        Some(seg) => {
-            payload.put_u8(1);
-            payload.put_u32_le(seg);
+    let mut out = Vec::new();
+    write_state(state, &mut out);
+    Bytes::from(out)
+}
+
+/// Appends the [`state_to_bytes`] blob of `state` to `out` in place — the
+/// one state encoder, for callers that embed many states in one buffer.
+pub fn write_state(state: &ScorerState, out: &mut Vec<u8>) {
+    out.reserve(ENVELOPE_OVERHEAD + 42 + state.h.len() * 4 + state.trace.len() * 20);
+    seal_envelope_into(STATE_MAGIC, STATE_VERSION, out, |payload| {
+        payload.put_u32_le(state.h.cols() as u32);
+        payload.extend(state.h.data().iter().flat_map(|x| x.to_le_bytes()));
+        payload.put_f64_le(state.base_nll);
+        payload.put_f64_le(state.traj_nll);
+        payload.put_f64_le(state.scale_log_sum);
+        match state.last {
+            Some(seg) => {
+                payload.put_u8(1);
+                payload.put_u32_le(seg);
+            }
+            None => payload.put_u8(0),
         }
-        None => payload.put_u8(0),
-    }
-    payload.put_u8(state.time_slot);
-    payload.put_u32_le(state.trace.len() as u32);
-    for step in &state.trace {
-        payload.put_u32_le(step.segment);
-        payload.put_f64_le(step.nll);
-        payload.put_f64_le(step.log_scale);
-    }
-    seal_envelope(STATE_MAGIC, STATE_VERSION, payload.freeze())
+        payload.put_u8(state.time_slot);
+        payload.put_u32_le(state.trace.len() as u32);
+        for step in &state.trace {
+            let mut entry = [0u8; 20];
+            entry[0..4].copy_from_slice(&step.segment.to_le_bytes());
+            entry[4..12].copy_from_slice(&step.nll.to_le_bytes());
+            entry[12..20].copy_from_slice(&step.log_scale.to_le_bytes());
+            payload.put_slice(&entry);
+        }
+    });
 }
 
 /// Restores a state serialized by [`state_to_bytes`]. The whole input must
@@ -273,7 +284,25 @@ pub fn state_to_bytes(state: &ScorerState) -> Bytes {
 /// version, a truncation point, a checksum mismatch, or a structural
 /// violation of the payload.
 pub fn state_from_bytes(bytes: Bytes) -> Result<ScorerState, StateCodecError> {
-    let mut payload = open_envelope(STATE_MAGIC, STATE_VERSION, bytes)?;
+    parse_state_blob(open_envelope_slice(STATE_MAGIC, STATE_VERSION, &bytes)?)
+}
+
+/// Decodes a [`state_to_bytes`] blob embedded in a larger envelope: the
+/// next `len` bytes of `reader`. The blob's own checksum is verified in
+/// the same pass that folds its bytes into the enclosing envelope's sum,
+/// and the state is parsed straight from the reader's buffer.
+///
+/// # Errors
+/// As [`state_from_bytes`].
+pub fn read_state(
+    reader: &mut SummingReader<'_>,
+    len: usize,
+) -> Result<ScorerState, StateCodecError> {
+    parse_state_blob(reader.nested_envelope(STATE_MAGIC, STATE_VERSION, len)?)
+}
+
+/// Parses a verified state payload, which must be consumed exactly.
+fn parse_state_blob(mut payload: &[u8]) -> Result<ScorerState, StateCodecError> {
     let state = parse_state_payload(&mut payload)?;
     if payload.remaining() != 0 {
         return Err(StateCodecError::Malformed("trailing payload bytes"));
@@ -281,7 +310,7 @@ pub fn state_from_bytes(bytes: Bytes) -> Result<ScorerState, StateCodecError> {
     Ok(state)
 }
 
-fn parse_state_payload(payload: &mut Bytes) -> Result<ScorerState, StateCodecError> {
+fn parse_state_payload(payload: &mut &[u8]) -> Result<ScorerState, StateCodecError> {
     if payload.remaining() < 4 {
         return Err(StateCodecError::Truncated("hidden width"));
     }
@@ -289,10 +318,10 @@ fn parse_state_payload(payload: &mut Bytes) -> Result<ScorerState, StateCodecErr
     if hidden_cols.checked_mul(4).is_none_or(|need| payload.remaining() < need) {
         return Err(StateCodecError::Truncated("hidden row"));
     }
-    let mut hidden = Vec::with_capacity(hidden_cols);
-    for _ in 0..hidden_cols {
-        hidden.push(payload.get_f32_le());
-    }
+    let (row, rest) = payload.split_at(hidden_cols * 4);
+    *payload = rest;
+    let hidden: Vec<f32> =
+        row.chunks_exact(4).map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])).collect();
     if payload.remaining() < 8 * 3 + 1 {
         return Err(StateCodecError::Truncated("accumulators"));
     }
@@ -317,13 +346,16 @@ fn parse_state_payload(payload: &mut Bytes) -> Result<ScorerState, StateCodecErr
     if trace_len.checked_mul(20).is_none_or(|need| payload.remaining() < need) {
         return Err(StateCodecError::Truncated("trace entries"));
     }
-    let mut trace = Vec::with_capacity(trace_len);
-    for _ in 0..trace_len {
-        let segment = payload.get_u32_le();
-        let nll = payload.get_f64_le();
-        let log_scale = payload.get_f64_le();
-        trace.push(SegmentTrace { segment, nll, log_scale });
-    }
+    let (entries, rest) = payload.split_at(trace_len * 20);
+    *payload = rest;
+    let trace: Vec<SegmentTrace> = entries
+        .chunks_exact(20)
+        .map(|e| SegmentTrace {
+            segment: u32::from_le_bytes(e[0..4].try_into().expect("4 bytes")),
+            nll: f64::from_le_bytes(e[4..12].try_into().expect("8 bytes")),
+            log_scale: f64::from_le_bytes(e[12..20].try_into().expect("8 bytes")),
+        })
+        .collect();
     Ok(ScorerState::from_parts(hidden, base_nll, traj_nll, scale_log_sum, last, time_slot, trace))
 }
 
@@ -346,6 +378,7 @@ fn apply_flag_bits(cfg: &mut CausalTadConfig, flags: u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::seal_envelope;
     use tad_trajsim::{generate_city, CityConfig};
 
     /// One trained model shared by every test in this module (training in

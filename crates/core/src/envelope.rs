@@ -18,18 +18,45 @@
 //!   which each codec converts into its own error type (e.g.
 //!   [`crate::StateCodecError`]) so callers see a single error enum per
 //!   format.
+//! * **No copies on the bulk paths**: [`seal_envelope_into`] seals a
+//!   payload written in place, and [`open_envelope_summing`] verifies a
+//!   payload while it is parsed — folding the checksums of envelopes
+//!   nested inside it (the `TADC` states inside a `TADF`/`TADD` capture)
+//!   into the same pass, since FNV's serial multiply chains for the
+//!   outer and the nested sum run side by side at the cost of one.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit checksum used by every checksummed-envelope codec in the
 /// workspace (session states, fleet snapshots, wire frames).
 pub fn checksum64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv(FNV_OFFSET, data)
+}
+
+/// Continues an FNV-1a 64 sum over `data`.
+fn fnv(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Continues the sum `outer` over `data` and starts a fresh sum of `data`
+/// alone, in one pass. FNV is one serial multiply chain per sum, so the
+/// two independent chains run side by side for about the price of one.
+fn fnv_nested(mut outer: u64, data: &[u8]) -> (u64, u64) {
+    let mut inner = FNV_OFFSET;
+    for &b in data {
+        outer ^= b as u64;
+        outer = outer.wrapping_mul(FNV_PRIME);
+        inner ^= b as u64;
+        inner = inner.wrapping_mul(FNV_PRIME);
+    }
+    (outer, inner)
 }
 
 /// Failures shared by every checksummed-envelope codec (the session codec
@@ -76,13 +103,31 @@ pub const ENVELOPE_HEADER_LEN: usize = 4 + 2 + 8;
 /// (little-endian): `magic`, `version` u16, u64 payload length, the
 /// payload, then a FNV-1a 64 checksum of the payload.
 pub fn seal_envelope(magic: &[u8; 4], version: u16, payload: Bytes) -> Bytes {
-    let mut buf = BytesMut::with_capacity(payload.len() + ENVELOPE_OVERHEAD);
-    buf.put_slice(magic);
-    buf.put_u16_le(version);
-    buf.put_u64_le(payload.len() as u64);
-    buf.put_slice(&payload);
-    buf.put_u64_le(checksum64(&payload));
-    buf.freeze()
+    let mut out = Vec::with_capacity(payload.len() + ENVELOPE_OVERHEAD);
+    seal_envelope_into(magic, version, &mut out, |buf| buf.put_slice(&payload));
+    Bytes::from(out)
+}
+
+/// Appends one envelope to `out` whose payload `write` appends in place:
+/// the payload is never copied — its length field is patched and its
+/// checksum computed once `write` returns. Byte-identical to
+/// [`seal_envelope`] over the same payload.
+pub fn seal_envelope_into(
+    magic: &[u8; 4],
+    version: u16,
+    out: &mut Vec<u8>,
+    write: impl FnOnce(&mut Vec<u8>),
+) {
+    out.put_slice(magic);
+    out.put_u16_le(version);
+    let len_at = out.len();
+    out.put_u64_le(0);
+    let start = out.len();
+    write(out);
+    let plen = (out.len() - start) as u64;
+    out[len_at..start].copy_from_slice(&plen.to_le_bytes());
+    let sum = checksum64(&out[start..]);
+    out.put_u64_le(sum);
 }
 
 /// Opens an envelope written by [`seal_envelope`], returning the verified
@@ -93,11 +138,52 @@ pub fn seal_envelope(magic: &[u8; 4], version: u16, payload: Bytes) -> Bytes {
 /// # Errors
 /// Returns the [`EnvelopeError`] naming what failed: wrong magic or
 /// version, a truncation point, a checksum mismatch, or trailing bytes.
-pub fn open_envelope(
+pub fn open_envelope(magic: &[u8; 4], version: u16, bytes: Bytes) -> Result<Bytes, EnvelopeError> {
+    open_envelope_slice(magic, version, &bytes).map(Bytes::from)
+}
+
+/// [`open_envelope`] over a borrowed buffer: the verified payload is
+/// returned as a sub-slice of `bytes`, not a copy.
+pub(crate) fn open_envelope_slice<'a>(
     magic: &[u8; 4],
     version: u16,
-    mut bytes: Bytes,
-) -> Result<Bytes, EnvelopeError> {
+    bytes: &'a [u8],
+) -> Result<&'a [u8], EnvelopeError> {
+    let (payload, stored) = envelope_parts(magic, version, bytes)?;
+    if checksum64(payload) != stored {
+        return Err(EnvelopeError::ChecksumMismatch);
+    }
+    Ok(payload)
+}
+
+/// Checks an envelope's header and framing and returns a reader over its
+/// payload plus the stored checksum, **without** checksumming the payload
+/// yet: the reader sums every byte it consumes, so a decoder verifies the
+/// checksum in the same pass that parses the payload (with
+/// [`SummingReader::verify`]) — and envelopes nested in the payload fold
+/// their own checksums into that pass ([`SummingReader::nested_envelope`]).
+/// A decoder must still treat a payload as corrupt whenever
+/// [`checksum64`] of it does not match, whatever its parse made of it.
+///
+/// # Errors
+/// As [`open_envelope`], except that a checksum mismatch is left to the
+/// caller.
+pub fn open_envelope_summing<'a>(
+    magic: &[u8; 4],
+    version: u16,
+    bytes: &'a [u8],
+) -> Result<(SummingReader<'a>, u64), EnvelopeError> {
+    let (payload, stored) = envelope_parts(magic, version, bytes)?;
+    Ok((SummingReader::new(payload), stored))
+}
+
+/// Splits one envelope into its payload and stored checksum, checking
+/// everything but the checksum.
+fn envelope_parts<'a>(
+    magic: &[u8; 4],
+    version: u16,
+    mut bytes: &'a [u8],
+) -> Result<(&'a [u8], u64), EnvelopeError> {
     if bytes.remaining() < ENVELOPE_HEADER_LEN {
         return Err(EnvelopeError::Truncated("header"));
     }
@@ -116,15 +202,89 @@ pub fn open_envelope(
     if plen.checked_add(8).is_none_or(|need| (bytes.remaining() as u64) < need) {
         return Err(EnvelopeError::Truncated("payload"));
     }
-    let payload = bytes.copy_to_bytes(plen as usize);
-    let stored = bytes.get_u64_le();
-    if bytes.remaining() != 0 {
+    let (payload, mut rest) = bytes.split_at(plen as usize);
+    let stored = rest.get_u64_le();
+    if rest.remaining() != 0 {
         return Err(EnvelopeError::TrailingBytes);
     }
-    if checksum64(payload.as_ref()) != stored {
-        return Err(EnvelopeError::ChecksumMismatch);
+    Ok((payload, stored))
+}
+
+/// A cursor over an envelope payload that folds every byte it consumes
+/// into a running FNV-1a 64 sum; see [`open_envelope_summing`].
+#[derive(Debug)]
+pub struct SummingReader<'a> {
+    whole: &'a [u8],
+    rest: &'a [u8],
+    sum: u64,
+}
+
+impl<'a> SummingReader<'a> {
+    fn new(payload: &'a [u8]) -> Self {
+        SummingReader { whole: payload, rest: payload, sum: FNV_OFFSET }
     }
-    Ok(payload)
+
+    /// Takes the next `len` bytes as one nested envelope and returns its
+    /// payload, verified against the nested checksum — computed in the
+    /// same pass that folds those bytes into this reader's sum.
+    ///
+    /// # Errors
+    /// As [`open_envelope`] for the nested envelope; `len` beyond the
+    /// bytes left is [`EnvelopeError::Truncated`].
+    pub fn nested_envelope(
+        &mut self,
+        magic: &[u8; 4],
+        version: u16,
+        len: usize,
+    ) -> Result<&'a [u8], EnvelopeError> {
+        if self.rest.len() < len {
+            return Err(EnvelopeError::Truncated("nested envelope"));
+        }
+        let (blob, rest) = self.rest.split_at(len);
+        let (payload, stored) = envelope_parts(magic, version, blob)?;
+        let header = fnv(self.sum, &blob[..ENVELOPE_HEADER_LEN]);
+        let (outer, inner) = fnv_nested(header, payload);
+        if inner != stored {
+            return Err(EnvelopeError::ChecksumMismatch);
+        }
+        self.sum = fnv(outer, &stored.to_le_bytes());
+        self.rest = rest;
+        Ok(payload)
+    }
+
+    /// Checks, once the payload is fully consumed, that its sum matches
+    /// `stored` — or, when the parse stopped early or failed, that the
+    /// whole payload does. A mismatch means the payload is corrupt, which
+    /// outranks whatever its parse concluded.
+    ///
+    /// # Errors
+    /// [`EnvelopeError::ChecksumMismatch`] when the payload does not match
+    /// its stored checksum.
+    pub fn verify(&self, stored: u64) -> Result<(), EnvelopeError> {
+        let sum = if self.rest.is_empty() { self.sum } else { checksum64(self.whole) };
+        if sum == stored {
+            Ok(())
+        } else {
+            Err(EnvelopeError::ChecksumMismatch)
+        }
+    }
+}
+
+impl Buf for SummingReader<'_> {
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self.rest
+    }
+
+    fn advance(&mut self, n: usize) {
+        assert!(n <= self.rest.len(), "SummingReader: advance past end");
+        let (taken, rest) = self.rest.split_at(n);
+        self.sum = fnv(self.sum, taken);
+        self.rest = rest;
+    }
 }
 
 #[cfg(test)]
@@ -148,6 +308,48 @@ mod tests {
         assert_eq!(sealed.len(), payload.len() + ENVELOPE_OVERHEAD);
         let opened = open_envelope(MAGIC, 7, sealed).expect("valid envelope");
         assert_eq!(opened.to_vec(), payload.to_vec());
+    }
+
+    #[test]
+    fn in_place_seal_matches_seal_at_any_offset() {
+        let payload = vec![3u8, 1, 4, 1, 5];
+        let mut out = vec![0xEEu8; 7];
+        seal_envelope_into(MAGIC, 2, &mut out, |buf| buf.extend_from_slice(&payload));
+        let sealed = seal_envelope(MAGIC, 2, Bytes::from(payload.clone()));
+        assert_eq!(&out[..7], &[0xEEu8; 7]);
+        assert_eq!(&out[7..], &sealed[..]);
+        assert_eq!(open_envelope_slice(MAGIC, 2, &out[7..]), Ok(&payload[..]));
+    }
+
+    /// A payload holding a nested envelope between plain fields: the
+    /// summing reader verifies the nested checksum and accumulates exactly
+    /// the outer checksum, and any flipped bit is caught by one or the
+    /// other.
+    #[test]
+    fn summing_reader_verifies_nested_and_outer_sums_in_one_pass() {
+        let nested = seal_envelope(b"NEST", 3, Bytes::from(vec![7u8; 21]));
+        let mut payload = vec![1u8, 2, 3, 4];
+        payload.extend_from_slice(&nested);
+        payload.push(9);
+        let sealed = seal_envelope(MAGIC, 1, Bytes::from(payload.clone())).to_vec();
+        type Fields = (u32, Vec<u8>, u8);
+        let read = |blob: &[u8]| -> Result<Fields, EnvelopeError> {
+            let (mut reader, stored) = open_envelope_summing(MAGIC, 1, blob)?;
+            let head = reader.get_u32_le();
+            let parsed = reader.nested_envelope(b"NEST", 3, nested.len()).map(<[u8]>::to_vec);
+            let tail = reader.get_u8();
+            reader.verify(stored)?;
+            Ok((head, parsed?, tail))
+        };
+        assert_eq!(read(&sealed), Ok((u32::from_le_bytes([1, 2, 3, 4]), vec![7u8; 21], 9)));
+        let (mut reader, _) = open_envelope_summing(MAGIC, 1, &sealed).unwrap();
+        reader.advance(payload.len());
+        assert_eq!(reader.verify(checksum64(&payload)), Ok(()));
+        for byte in ENVELOPE_HEADER_LEN..sealed.len() - 8 {
+            let mut flipped = sealed.clone();
+            flipped[byte] ^= 0x10;
+            assert!(read(&flipped).is_err(), "flip at byte {byte} accepted");
+        }
     }
 
     #[test]

@@ -62,12 +62,15 @@ mod tgvae;
 mod train;
 
 pub use codec::{
-    model_from_bytes, model_to_bytes, state_from_bytes, state_to_bytes, ModelCodecError,
-    StateCodecError,
+    model_from_bytes, model_to_bytes, read_state, state_from_bytes, state_to_bytes, write_state,
+    ModelCodecError, StateCodecError,
 };
 pub use config::CausalTadConfig;
 pub use delta::{DeltaChain, DeltaChainError, DeltaId};
-pub use envelope::{checksum64, open_envelope, seal_envelope, EnvelopeError};
+pub use envelope::{
+    checksum64, open_envelope, open_envelope_summing, seal_envelope, seal_envelope_into,
+    EnvelopeError, SummingReader,
+};
 pub use model::CausalTad;
 pub use online::{OnlineError, OnlineScorer, ScorerState, SegmentTrace};
 pub use rpvae::RpVae;

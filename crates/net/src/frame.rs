@@ -17,8 +17,8 @@
 //! crafted-huge-length inputs all come back as a [`FrameError`], never a
 //! panic (property-tested in the repository's `tests/props.rs`).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use causaltad::envelope::{open_envelope, seal_envelope, EnvelopeError};
+use bytes::{Buf, BufMut, Bytes};
+use causaltad::envelope::{open_envelope, seal_envelope_into, EnvelopeError, ENVELOPE_OVERHEAD};
 use causaltad::SegmentTrace;
 use tad_metrics::{snapshot_from_bytes, snapshot_to_bytes, MetricsSnapshot};
 use tad_serve::{Completion, Event, FleetSnapshot, PolicyAction, ScoreUpdate, TripId, TripOutcome};
@@ -431,147 +431,160 @@ impl From<EnvelopeError> for FrameError {
 
 /// Serialises one request frame (envelope included).
 pub fn request_to_bytes(req: &Request) -> Bytes {
-    let mut payload = BytesMut::with_capacity(32);
-    match *req {
-        Request::TripStart { id, source, dest, time_slot } => {
-            payload.put_u8(TAG_TRIP_START);
-            payload.put_u64_le(id);
-            payload.put_u32_le(source);
-            payload.put_u32_le(dest);
-            payload.put_u8(time_slot);
+    let blob_len = match req {
+        Request::Install { image } => image.len(),
+        _ => 0,
+    };
+    let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD + 32 + blob_len);
+    seal_envelope_into(FRAME_MAGIC, FRAME_VERSION, &mut out, |payload| {
+        match *req {
+            Request::TripStart { id, source, dest, time_slot } => {
+                payload.put_u8(TAG_TRIP_START);
+                payload.put_u64_le(id);
+                payload.put_u32_le(source);
+                payload.put_u32_le(dest);
+                payload.put_u8(time_slot);
+            }
+            Request::Segment { id, seg } => {
+                payload.put_u8(TAG_SEGMENT);
+                payload.put_u64_le(id);
+                payload.put_u32_le(seg);
+            }
+            Request::TripEnd { id } => {
+                payload.put_u8(TAG_TRIP_END);
+                payload.put_u64_le(id);
+            }
+            Request::Flush => payload.put_u8(TAG_FLUSH),
+            Request::SnapshotRequest => payload.put_u8(TAG_SNAPSHOT_REQUEST),
+            Request::MetricsRequest => payload.put_u8(TAG_METRICS_REQUEST),
+            Request::DeltaRequest => payload.put_u8(TAG_DELTA_REQUEST),
+            Request::Install { ref image } => {
+                // Remainder-is-the-blob, like Response::Snapshot: the
+                // envelope's length prefix delimits the image exactly.
+                payload.put_u8(TAG_INSTALL);
+                payload.put_slice(image);
+            }
+            Request::Drain => payload.put_u8(TAG_DRAIN),
         }
-        Request::Segment { id, seg } => {
-            payload.put_u8(TAG_SEGMENT);
-            payload.put_u64_le(id);
-            payload.put_u32_le(seg);
-        }
-        Request::TripEnd { id } => {
-            payload.put_u8(TAG_TRIP_END);
-            payload.put_u64_le(id);
-        }
-        Request::Flush => payload.put_u8(TAG_FLUSH),
-        Request::SnapshotRequest => payload.put_u8(TAG_SNAPSHOT_REQUEST),
-        Request::MetricsRequest => payload.put_u8(TAG_METRICS_REQUEST),
-        Request::DeltaRequest => payload.put_u8(TAG_DELTA_REQUEST),
-        Request::Install { ref image } => {
-            // Remainder-is-the-blob, like Response::Snapshot: the
-            // envelope's length prefix delimits the image exactly.
-            payload.put_u8(TAG_INSTALL);
-            payload.put_slice(image);
-        }
-        Request::Drain => payload.put_u8(TAG_DRAIN),
-    }
-    seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze())
+    });
+    Bytes::from(out)
 }
 
 /// Serialises one response frame (envelope included).
 pub fn response_to_bytes(resp: &Response) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64);
-    match resp {
-        Response::Score(s) => {
-            payload.put_u8(TAG_SCORE);
-            payload.put_u64_le(s.id);
-            payload.put_u32_le(s.seq);
-            payload.put_u32_le(s.segment);
-            payload.put_f64_le(s.score);
-            payload.put_f64_le(s.nll);
-            payload.put_f64_le(s.log_scale);
-        }
-        Response::TripComplete(tc) => {
-            payload.put_u8(TAG_TRIP_COMPLETE);
-            payload.put_u64_le(tc.id);
-            payload.put_u8(completion_to_byte(tc.completion));
-            payload.put_f64_le(tc.score);
-            payload.put_f64_le(tc.likelihood_nll);
-            payload.put_f64_le(tc.scale_log_sum);
-            payload.put_u32_le(tc.trace.len() as u32);
-            for step in &tc.trace {
-                payload.put_u32_le(step.segment);
-                payload.put_f64_le(step.nll);
-                payload.put_f64_le(step.log_scale);
+    let blob_len = match resp {
+        Response::Snapshot { image } | Response::Drained { image } => image.len(),
+        Response::Delta { delta } => delta.len(),
+        _ => 0,
+    };
+    let mut out = Vec::with_capacity(ENVELOPE_OVERHEAD + 64 + blob_len);
+    seal_envelope_into(FRAME_MAGIC, FRAME_VERSION, &mut out, |payload| {
+        match resp {
+            Response::Score(s) => {
+                payload.put_u8(TAG_SCORE);
+                payload.put_u64_le(s.id);
+                payload.put_u32_le(s.seq);
+                payload.put_u32_le(s.segment);
+                payload.put_f64_le(s.score);
+                payload.put_f64_le(s.nll);
+                payload.put_f64_le(s.log_scale);
             }
-        }
-        Response::Stats(s) => {
-            payload.put_u8(TAG_STATS);
-            payload.put_u64_le(s.events_ingested);
-            payload.put_u64_le(s.segments_scored);
-            payload.put_u64_le(s.trips_started);
-            payload.put_u64_le(s.trips_completed);
-            payload.put_u64_le(s.evictions_ttl);
-            payload.put_u64_le(s.evictions_lru);
-            payload.put_u64_le(s.rejected);
-            payload.put_u64_le(s.off_graph_hits);
-            payload.put_u64_le(s.batches);
-            payload.put_u64_le(s.active_sessions);
-            payload.put_u64_le(s.sessions_restored);
-            payload.put_f64_le(s.uptime_secs);
-            payload.put_f64_le(s.events_per_sec);
-            payload.put_f64_le(s.mean_batch_size);
-        }
-        Response::Error { code, trip, retry_after_ms, detail } => {
-            payload.put_u8(TAG_ERROR);
-            payload.put_u8(code.to_byte());
-            match trip {
-                Some(id) => {
-                    payload.put_u8(1);
-                    payload.put_u64_le(*id);
+            Response::TripComplete(tc) => {
+                payload.put_u8(TAG_TRIP_COMPLETE);
+                payload.put_u64_le(tc.id);
+                payload.put_u8(completion_to_byte(tc.completion));
+                payload.put_f64_le(tc.score);
+                payload.put_f64_le(tc.likelihood_nll);
+                payload.put_f64_le(tc.scale_log_sum);
+                payload.put_u32_le(tc.trace.len() as u32);
+                for step in &tc.trace {
+                    payload.put_u32_le(step.segment);
+                    payload.put_f64_le(step.nll);
+                    payload.put_f64_le(step.log_scale);
                 }
-                None => payload.put_u8(0),
             }
-            match retry_after_ms {
-                Some(ms) => {
-                    payload.put_u8(1);
-                    payload.put_u64_le(*ms);
+            Response::Stats(s) => {
+                payload.put_u8(TAG_STATS);
+                payload.put_u64_le(s.events_ingested);
+                payload.put_u64_le(s.segments_scored);
+                payload.put_u64_le(s.trips_started);
+                payload.put_u64_le(s.trips_completed);
+                payload.put_u64_le(s.evictions_ttl);
+                payload.put_u64_le(s.evictions_lru);
+                payload.put_u64_le(s.rejected);
+                payload.put_u64_le(s.off_graph_hits);
+                payload.put_u64_le(s.batches);
+                payload.put_u64_le(s.active_sessions);
+                payload.put_u64_le(s.sessions_restored);
+                payload.put_f64_le(s.uptime_secs);
+                payload.put_f64_le(s.events_per_sec);
+                payload.put_f64_le(s.mean_batch_size);
+            }
+            Response::Error { code, trip, retry_after_ms, detail } => {
+                payload.put_u8(TAG_ERROR);
+                payload.put_u8(code.to_byte());
+                match trip {
+                    Some(id) => {
+                        payload.put_u8(1);
+                        payload.put_u64_le(*id);
+                    }
+                    None => payload.put_u8(0),
                 }
-                None => payload.put_u8(0),
-            }
-            // Truncate over-long details at a char boundary so the frame
-            // always fits the decoder's cap.
-            let mut cut = detail.len().min(MAX_ERROR_DETAIL);
-            while !detail.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            payload.put_u16_le(cut as u16);
-            payload.put_slice(&detail.as_bytes()[..cut]);
-        }
-        Response::Snapshot { image } => {
-            // The image is the remainder of the payload: the envelope's
-            // own length prefix already delimits it exactly.
-            payload.put_u8(TAG_SNAPSHOT);
-            payload.put_slice(image);
-        }
-        Response::Metrics(snapshot) => {
-            // Same remainder-is-the-blob layout as Snapshot; the TADM
-            // codec is canonical, so this frame re-encodes byte-for-byte.
-            payload.put_u8(TAG_METRICS);
-            payload.put_slice(&snapshot_to_bytes(snapshot));
-        }
-        Response::PolicyNotice { id, action, seg } => {
-            payload.put_u8(TAG_POLICY_NOTICE);
-            payload.put_u64_le(*id);
-            payload.put_u8(action.wire_byte());
-            match seg {
-                Some(seg) => {
-                    payload.put_u8(1);
-                    payload.put_u32_le(*seg);
+                match retry_after_ms {
+                    Some(ms) => {
+                        payload.put_u8(1);
+                        payload.put_u64_le(*ms);
+                    }
+                    None => payload.put_u8(0),
                 }
-                None => payload.put_u8(0),
+                // Truncate over-long details at a char boundary so the frame
+                // always fits the decoder's cap.
+                let mut cut = detail.len().min(MAX_ERROR_DETAIL);
+                while !detail.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                payload.put_u16_le(cut as u16);
+                payload.put_slice(&detail.as_bytes()[..cut]);
+            }
+            Response::Snapshot { image } => {
+                // The image is the remainder of the payload: the envelope's
+                // own length prefix already delimits it exactly.
+                payload.put_u8(TAG_SNAPSHOT);
+                payload.put_slice(image);
+            }
+            Response::Metrics(snapshot) => {
+                // Same remainder-is-the-blob layout as Snapshot; the TADM
+                // codec is canonical, so this frame re-encodes byte-for-byte.
+                payload.put_u8(TAG_METRICS);
+                payload.put_slice(&snapshot_to_bytes(snapshot));
+            }
+            Response::PolicyNotice { id, action, seg } => {
+                payload.put_u8(TAG_POLICY_NOTICE);
+                payload.put_u64_le(*id);
+                payload.put_u8(action.wire_byte());
+                match seg {
+                    Some(seg) => {
+                        payload.put_u8(1);
+                        payload.put_u32_le(*seg);
+                    }
+                    None => payload.put_u8(0),
+                }
+            }
+            Response::Delta { delta } => {
+                payload.put_u8(TAG_DELTA);
+                payload.put_slice(delta);
+            }
+            Response::Installed { sessions } => {
+                payload.put_u8(TAG_INSTALLED);
+                payload.put_u64_le(*sessions);
+            }
+            Response::Drained { image } => {
+                payload.put_u8(TAG_DRAINED);
+                payload.put_slice(image);
             }
         }
-        Response::Delta { delta } => {
-            payload.put_u8(TAG_DELTA);
-            payload.put_slice(delta);
-        }
-        Response::Installed { sessions } => {
-            payload.put_u8(TAG_INSTALLED);
-            payload.put_u64_le(*sessions);
-        }
-        Response::Drained { image } => {
-            payload.put_u8(TAG_DRAINED);
-            payload.put_slice(image);
-        }
-    }
-    seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze())
+    });
+    Bytes::from(out)
 }
 
 /// Decodes one request frame. The whole input must be one frame.
@@ -810,6 +823,8 @@ pub fn response_from_bytes(bytes: Bytes) -> Result<Response, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
+    use causaltad::envelope::seal_envelope;
 
     pub(crate) fn sample_requests() -> Vec<Request> {
         vec![

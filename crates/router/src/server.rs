@@ -77,8 +77,8 @@ use tad_net::{
     DEFAULT_MAX_FRAME,
 };
 use tad_serve::{
-    delta_from_bytes, image_from_bytes, image_to_bytes, DeltaBase, FleetImage, FleetSnapshot,
-    TripId,
+    delta_from_bytes, image_from_bytes, image_to_bytes, DeltaBase, FleetDelta, FleetImage,
+    FleetSnapshot, TripId,
 };
 
 use crate::backend::{
@@ -355,15 +355,14 @@ impl RecoveryBase {
         }
     }
 
-    /// Folds one `TADD` blob into the base. A `Plain` base adopts the
-    /// chain lazily when the first increment (`seq == 1`) arrives —
-    /// that is how the router learns the epoch the backend armed at the
-    /// full capture that produced this base.
-    fn apply_delta(&mut self, blob: Bytes) -> Result<(), String> {
-        let delta = delta_from_bytes(blob).map_err(|e| format!("undecodable delta: {e}"))?;
+    /// Folds one decoded `TADD` increment into the base, by move. A
+    /// `Plain` base adopts the chain lazily when the first increment
+    /// (`seq == 1`) arrives — that is how the router learns the epoch the
+    /// backend armed at the full capture that produced this base.
+    fn apply_delta(&mut self, delta: FleetDelta) -> Result<(), String> {
         match self {
             RecoveryBase::Chained(base) => {
-                base.apply(&delta).map_err(|e| format!("delta chain broken: {e}"))
+                base.apply(delta).map_err(|e| format!("delta chain broken: {e}"))
             }
             RecoveryBase::Plain(image) => {
                 if delta.seq != 1 {
@@ -373,7 +372,7 @@ impl RecoveryBase {
                     ));
                 }
                 let mut base = DeltaBase::new(mem::take(image), delta.base_epoch);
-                base.apply(&delta).map_err(|e| format!("delta chain broken: {e}"))?;
+                base.apply(delta).map_err(|e| format!("delta chain broken: {e}"))?;
                 *self = RecoveryBase::Chained(base);
                 Ok(())
             }
@@ -482,8 +481,8 @@ impl Journal {
 
     /// A delta reply applies: fold it into the base, then drop the
     /// covered prefix exactly as a full capture would.
-    fn apply_delta(&mut self, blob: Bytes) -> Result<(), String> {
-        self.base.apply_delta(blob)?;
+    fn apply_delta(&mut self, delta: FleetDelta) -> Result<(), String> {
+        self.base.apply_delta(delta)?;
         let cut = self.pending_cut.take().unwrap_or(0).min(self.frames.len());
         self.frames.drain(..cut);
         self.tail_ok = self.recording;
@@ -513,6 +512,18 @@ impl Journal {
         self.recording = enabled;
         self.tail_ok = enabled;
     }
+}
+
+/// A checkpoint capture staged on one link (frame on the wire, journal
+/// cut taken) whose reply has not been folded in yet.
+struct StagedCapture {
+    idx: u32,
+    /// `DeltaRequest` (true) or `SnapshotRequest` (false).
+    delta: bool,
+    rx: Receiver<Result<CaptureReply, String>>,
+    /// The journal's `chain_breaks` at stage time; see
+    /// [`Journal::chain_breaks`].
+    breaks_at_stage: u64,
 }
 
 /// The router's handle on one backend connection.
@@ -579,6 +590,15 @@ struct RouterMetrics {
     /// `router.backend.N.throttled`: the per-link split of
     /// `router.throttled` — which backend is shedding.
     per_backend_throttled: Vec<Arc<Counter>>,
+    /// `router.backend.N.pacing_notices`: trip-less `Backpressure` /
+    /// `Throttled` notices from the backend, announcing that it paused
+    /// reading this link (e.g. while a multi-MB capture reply drains).
+    /// They answer no request and lose no reply.
+    per_backend_pacing: Vec<Arc<Counter>>,
+    /// `router.backend.N.full_captures` / `.delta_captures`: checkpoint
+    /// captures of the link folded into its recovery journal.
+    per_backend_full: Vec<Arc<Counter>>,
+    per_backend_delta: Vec<Arc<Counter>>,
 }
 
 impl RouterMetrics {
@@ -597,6 +617,15 @@ impl RouterMetrics {
                 .collect(),
             per_backend_throttled: (0..num_links)
                 .map(|idx| registry.counter(&format!("router.backend.{idx}.throttled")))
+                .collect(),
+            per_backend_pacing: (0..num_links)
+                .map(|idx| registry.counter(&format!("router.backend.{idx}.pacing_notices")))
+                .collect(),
+            per_backend_full: (0..num_links)
+                .map(|idx| registry.counter(&format!("router.backend.{idx}.full_captures")))
+                .collect(),
+            per_backend_delta: (0..num_links)
+                .map(|idx| registry.counter(&format!("router.backend.{idx}.delta_captures")))
                 .collect(),
             registry,
         }
@@ -946,14 +975,19 @@ impl Core {
             }
             Response::Error { code, trip: None, retry_after_ms: _, detail } => match code {
                 // A trip-less BadFrame/Backpressure/Throttled answers
-                // nothing in the pending queue (throttle notices pace the
-                // router's own backend link, they do not consume an admin
-                // slot); popping here would desynchronize the queue.
-                ErrorCode::BadFrame | ErrorCode::Backpressure => self.dropped(),
-                ErrorCode::Throttled => {
-                    self.metrics.throttled.add(1);
-                    self.metrics.per_backend_throttled[idx as usize].add(1);
-                    self.dropped();
+                // nothing in the pending queue; popping here would
+                // desynchronize the queue. A BadFrame reports a frame the
+                // backend could not read: nobody receives it.
+                ErrorCode::BadFrame => self.dropped(),
+                // Pacing notices: the backend paused reading this link
+                // (its reply backlog crossed the write high-water, or the
+                // link overdrew its rate limit). Nothing was lost.
+                ErrorCode::Backpressure | ErrorCode::Throttled => {
+                    self.metrics.per_backend_pacing[idx as usize].add(1);
+                    if code == ErrorCode::Throttled {
+                        self.metrics.throttled.add(1);
+                        self.metrics.per_backend_throttled[idx as usize].add(1);
+                    }
                 }
                 // SnapshotFailed / EngineClosed / Rejected each answer
                 // exactly the admin request at the head of the queue.
@@ -1283,72 +1317,94 @@ impl Core {
         }
     }
 
-    /// One link's turn in a checkpoint sweep: prefer a delta capture
-    /// when the chain is armed, fall back to (and re-arm with) a full
-    /// image capture.
-    fn checkpoint_link(&self, idx: u32) -> Result<bool, String> {
+    /// Stages one link's turn in a checkpoint sweep: a delta capture when
+    /// the chain is armed, a full image capture otherwise.
+    fn stage_checkpoint(&self, idx: u32) -> Result<StagedCapture, String> {
         let armed = self.links[idx as usize].journal.lock().expect("journal lock").armed;
-        if armed && self.capture(idx, true).is_ok() {
-            return Ok(true);
-        }
-        self.capture(idx, false).map(|()| false)
+        self.stage_capture(idx, armed)
     }
 
-    /// One capture round-trip: stage the frame and the journal cut
-    /// atomically (stage write lock), block for the reply, fold it into
-    /// the journal. The cut is what ties the reply to a wire position:
-    /// frames journaled before the capture frame are covered by the
-    /// reply; frames after it are the new tail.
-    fn capture(&self, idx: u32, delta: bool) -> Result<(), String> {
+    /// Finishes one link's staged checkpoint capture; a failed delta
+    /// falls back to (and re-arms with) a full capture of this link
+    /// alone. `Ok(true)` when the link served a delta.
+    fn finish_checkpoint(&self, staged: StagedCapture) -> Result<bool, String> {
+        let (idx, delta) = (staged.idx, staged.delta);
+        let served_delta = match self.finish_capture(staged) {
+            Ok(()) => delta,
+            Err(_) if delta => {
+                self.stage_capture(idx, false).and_then(|full| self.finish_capture(full))?;
+                false
+            }
+            Err(detail) => return Err(detail),
+        };
+        let counters = if served_delta {
+            &self.metrics.per_backend_delta
+        } else {
+            &self.metrics.per_backend_full
+        };
+        counters[idx as usize].add(1);
+        Ok(served_delta)
+    }
+
+    /// The stage half of one capture round-trip: stage the frame and the
+    /// journal cut atomically (stage write lock) and return without
+    /// waiting, so a sweep can have every link's capture in flight at
+    /// once. The cut is what ties the reply to a wire position: frames
+    /// journaled before the capture frame are covered by the reply;
+    /// frames after it are the new tail.
+    fn stage_capture(&self, idx: u32, delta: bool) -> Result<StagedCapture, String> {
         let link = &self.links[idx as usize];
         if !link.alive.load(Ordering::SeqCst) {
             return Err(format!("backend {idx} is down"));
         }
         let (tx, rx) = sync_channel(1);
-        let breaks_at_stage = {
-            let _stage = link.stage.write().expect("stage lock");
-            let mut journal = link.journal.lock().expect("journal lock");
-            link.pending.push(PendingEntry::Checkpoint(tx));
-            let frame = if delta { Request::DeltaRequest } else { Request::SnapshotRequest };
-            if link.tx.send(BackendMsg::Forward(frame)).is_err() {
-                link.pending.unstage_tail(|e| matches!(e, PendingEntry::Checkpoint(_)));
-                return Err(format!("backend {idx} is down"));
-            }
-            journal.stage_cut(self.journaling);
-            journal.chain_breaks
-        };
-        let reply = match rx.recv() {
-            Ok(Ok(reply)) => reply,
-            Ok(Err(detail)) => {
-                link.journal.lock().expect("journal lock").abort_cut();
-                return Err(detail);
-            }
-            Err(_) => {
-                link.journal.lock().expect("journal lock").abort_cut();
-                return Err(format!("backend {idx} connection lost"));
-            }
-        };
         let _stage = link.stage.write().expect("stage lock");
         let mut journal = link.journal.lock().expect("journal lock");
-        match reply {
-            CaptureReply::Full(blob) => match image_from_bytes(blob) {
-                Ok(image) => {
-                    journal.apply_full(image, breaks_at_stage);
-                    Ok(())
-                }
-                Err(e) => {
-                    journal.abort_cut();
-                    Err(format!("backend {idx} snapshot undecodable: {e}"))
-                }
-            },
-            CaptureReply::Delta(blob) => {
-                let applied = journal.apply_delta(blob);
-                if applied.is_err() {
-                    journal.abort_cut();
-                }
-                applied
-            }
+        link.pending.push(PendingEntry::Checkpoint(tx));
+        let frame = if delta { Request::DeltaRequest } else { Request::SnapshotRequest };
+        if link.tx.send(BackendMsg::Forward(frame)).is_err() {
+            link.pending.unstage_tail(|e| matches!(e, PendingEntry::Checkpoint(_)));
+            return Err(format!("backend {idx} is down"));
         }
+        journal.stage_cut(self.journaling);
+        Ok(StagedCapture { idx, delta, rx, breaks_at_stage: journal.chain_breaks })
+    }
+
+    /// The finish half: block for the staged capture's reply, decode it
+    /// outside every lock (forwards to the link keep flowing meanwhile),
+    /// then fold it into the journal by move — or abort the cut, leaving
+    /// the journal as it was, when the capture failed.
+    fn finish_capture(&self, staged: StagedCapture) -> Result<(), String> {
+        enum Decoded {
+            Full(FleetImage),
+            Delta(FleetDelta),
+        }
+        let StagedCapture { idx, rx, breaks_at_stage, .. } = staged;
+        let decoded = match rx.recv() {
+            Ok(Ok(CaptureReply::Full(blob))) => image_from_bytes(blob)
+                .map(Decoded::Full)
+                .map_err(|e| format!("backend {idx} snapshot undecodable: {e}")),
+            Ok(Ok(CaptureReply::Delta(blob))) => delta_from_bytes(blob)
+                .map(Decoded::Delta)
+                .map_err(|e| format!("undecodable delta: {e}")),
+            Ok(Err(detail)) => Err(detail),
+            Err(_) => Err(format!("backend {idx} connection lost")),
+        };
+        let link = &self.links[idx as usize];
+        let _stage = link.stage.write().expect("stage lock");
+        let mut journal = link.journal.lock().expect("journal lock");
+        let applied = match decoded {
+            Ok(Decoded::Full(image)) => {
+                journal.apply_full(image, breaks_at_stage);
+                Ok(())
+            }
+            Ok(Decoded::Delta(delta)) => journal.apply_delta(delta),
+            Err(detail) => Err(detail),
+        };
+        if applied.is_err() {
+            journal.abort_cut();
+        }
+        applied
     }
 
     /// Moves one partition's live sessions onto a standby. Caller holds
@@ -2236,9 +2292,18 @@ impl RouterServer {
     /// frames, and a backend that dies is restored from
     /// `checkpoint base + journaled tail`, bit-identically.
     ///
+    /// The sweep stages a capture on every mapped link before waiting on
+    /// any of them, so the backends capture concurrently and a sweep
+    /// costs about the slowest backend's capture, not their sum. It then
+    /// finishes the links in map order. A link whose delta fails falls
+    /// back to a full capture on its own; the other links are unaffected.
+    ///
     /// # Errors
-    /// [`RouterAdminError::Backend`] naming the first backend whose
-    /// capture failed; already-captured backends keep their new base.
+    /// [`RouterAdminError::Backend`] naming the first backend (in map
+    /// order) whose capture failed. Every other link's capture is still
+    /// finished before this returns — folded into its journal on
+    /// success, its cut aborted on failure — so no capture is left in
+    /// flight and the captured backends keep their new base.
     pub fn checkpoint(&self) -> Result<CheckpointStats, RouterAdminError> {
         let core = &self.core;
         let _admin = core.admin.lock().expect("admin lock");
@@ -2246,17 +2311,20 @@ impl RouterServer {
         // the settled map.
         let _gate = core.gate.read().expect("topology gate");
         let slots: Vec<u32> = core.map.read().expect("partition map").slots.clone();
+        let staged: Vec<(u32, Result<StagedCapture, String>)> =
+            slots.into_iter().map(|idx| (idx, core.stage_checkpoint(idx))).collect();
         let mut stats = CheckpointStats::default();
-        for idx in slots {
-            match core.checkpoint_link(idx) {
+        let mut failed = None;
+        for (idx, staged) in staged {
+            match staged.and_then(|staged| core.finish_checkpoint(staged)) {
                 Ok(true) => stats.delta_captures += 1,
                 Ok(false) => stats.full_captures += 1,
                 Err(detail) => {
-                    return Err(RouterAdminError::Backend { backend: idx, detail });
+                    failed.get_or_insert(RouterAdminError::Backend { backend: idx, detail });
                 }
             }
         }
-        Ok(stats)
+        failed.map_or(Ok(stats), Err)
     }
 
     /// Migrates one partition's live sessions from the backend currently

@@ -29,12 +29,13 @@
 
 use std::collections::HashMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use causaltad::{open_envelope, seal_envelope, DeltaChain, DeltaChainError, DeltaId};
+use bytes::{Buf, BufMut, Bytes};
+use causaltad::{seal_envelope_into, DeltaChain, DeltaChainError, DeltaId};
 
 use crate::event::TripId;
 use crate::snapshot::{
-    decode_record, encode_record, FleetImage, SessionRecord, SnapshotCodecError, MIN_RECORD_LEN,
+    decode_record, decode_sealed, encode_record, FleetImage, SessionRecord, SnapshotCodecError,
+    MIN_RECORD_LEN,
 };
 
 const MAGIC: &[u8; 4] = b"TADD";
@@ -68,59 +69,83 @@ impl FleetDelta {
     }
 }
 
+/// Lets [`DeltaBase::apply`] take a borrowed delta: the delta is cloned.
+/// Pass it by value to fold it in without the copy.
+impl From<&FleetDelta> for FleetDelta {
+    fn from(delta: &FleetDelta) -> Self {
+        delta.clone()
+    }
+}
+
 /// Serialises a fleet delta (the incremental artifact of a checkpoint
 /// chain).
 pub fn delta_to_bytes(delta: &FleetDelta) -> Bytes {
-    let mut payload =
-        BytesMut::with_capacity(64 + delta.removed.len() * 8 + delta.sessions.len() * 256);
-    payload.put_u64_le(delta.base_epoch);
-    payload.put_u64_le(delta.seq);
-    payload.put_u32_le(delta.num_shards);
-    payload.put_u32_le(delta.removed.len() as u32);
-    for &id in &delta.removed {
-        payload.put_u64_le(id);
-    }
-    payload.put_u32_le(delta.sessions.len() as u32);
-    for rec in &delta.sessions {
-        encode_record(rec, &mut payload);
-    }
-    seal_envelope(MAGIC, VERSION, payload.freeze())
+    seal_delta(delta.id(), delta.num_shards, &delta.removed, delta.sessions.len(), |out| {
+        out.reserve(delta.sessions.len() * 256);
+        for rec in &delta.sessions {
+            encode_record(rec, out);
+        }
+    })
+}
+
+/// The one `TADD` writer: the chain header, the tombstones, the record
+/// count, then the `count` records that `records` appends in place (a
+/// shard-encoded chunk or [`delta_to_bytes`]'s own encoding), sealed
+/// without copying the payload.
+pub(crate) fn seal_delta(
+    id: DeltaId,
+    num_shards: u32,
+    removed: &[TripId],
+    count: usize,
+    records: impl FnOnce(&mut Vec<u8>),
+) -> Bytes {
+    let mut out = Vec::with_capacity(64 + removed.len() * 8);
+    seal_envelope_into(MAGIC, VERSION, &mut out, |payload| {
+        payload.put_u64_le(id.base_epoch);
+        payload.put_u64_le(id.seq);
+        payload.put_u32_le(num_shards);
+        payload.put_u32_le(removed.len() as u32);
+        for &id in removed {
+            payload.put_u64_le(id);
+        }
+        payload.put_u32_le(count as u32);
+        records(payload);
+    });
+    Bytes::from(out)
 }
 
 /// Restores a fleet delta serialized by [`delta_to_bytes`]. The whole
 /// input must be one delta (trailing bytes are rejected); decoding never
 /// panics, whatever the input.
 pub fn delta_from_bytes(bytes: Bytes) -> Result<FleetDelta, SnapshotCodecError> {
-    let mut payload = open_envelope(MAGIC, VERSION, bytes)?;
-    if payload.remaining() < 8 + 8 + 4 + 4 {
-        return Err(SnapshotCodecError::Truncated("delta header"));
-    }
-    let base_epoch = payload.get_u64_le();
-    let seq = payload.get_u64_le();
-    let num_shards = payload.get_u32_le();
-    let removed_len = payload.get_u32_le() as usize;
-    if removed_len.checked_mul(8).is_none_or(|need| payload.remaining() < need) {
-        return Err(SnapshotCodecError::Truncated("tombstones"));
-    }
-    let mut removed = Vec::with_capacity(removed_len);
-    for _ in 0..removed_len {
-        removed.push(payload.get_u64_le());
-    }
-    if payload.remaining() < 4 {
-        return Err(SnapshotCodecError::Truncated("session count"));
-    }
-    let count = payload.get_u32_le() as usize;
-    if count.checked_mul(MIN_RECORD_LEN).is_none_or(|need| payload.remaining() < need) {
-        return Err(SnapshotCodecError::Truncated("session records"));
-    }
-    let mut sessions = Vec::with_capacity(count);
-    for index in 0..count {
-        sessions.push(decode_record(&mut payload, index)?);
-    }
-    if payload.remaining() != 0 {
-        return Err(SnapshotCodecError::Malformed("trailing payload bytes"));
-    }
-    Ok(FleetDelta { base_epoch, seq, num_shards, removed, sessions })
+    decode_sealed(MAGIC, VERSION, &bytes, |payload| {
+        if payload.remaining() < 8 + 8 + 4 + 4 {
+            return Err(SnapshotCodecError::Truncated("delta header"));
+        }
+        let base_epoch = payload.get_u64_le();
+        let seq = payload.get_u64_le();
+        let num_shards = payload.get_u32_le();
+        let removed_len = payload.get_u32_le() as usize;
+        if removed_len.checked_mul(8).is_none_or(|need| payload.remaining() < need) {
+            return Err(SnapshotCodecError::Truncated("tombstones"));
+        }
+        let mut removed = Vec::with_capacity(removed_len);
+        for _ in 0..removed_len {
+            removed.push(payload.get_u64_le());
+        }
+        if payload.remaining() < 4 {
+            return Err(SnapshotCodecError::Truncated("session count"));
+        }
+        let count = payload.get_u32_le() as usize;
+        if count.checked_mul(MIN_RECORD_LEN).is_none_or(|need| payload.remaining() < need) {
+            return Err(SnapshotCodecError::Truncated("session records"));
+        }
+        let mut sessions = Vec::with_capacity(count);
+        for index in 0..count {
+            sessions.push(decode_record(payload, index)?);
+        }
+        Ok(FleetDelta { base_epoch, seq, num_shards, removed, sessions })
+    })
 }
 
 /// A checkpoint image plus the deltas applied onto it so far — the
@@ -132,6 +157,9 @@ pub fn delta_from_bytes(bytes: Bytes) -> Result<FleetDelta, SnapshotCodecError> 
 #[derive(Clone, Debug)]
 pub struct DeltaBase {
     image: FleetImage,
+    /// Trip id → position in `image.sessions`, kept in step across
+    /// applies so a fold costs the delta's size, not the image's.
+    index: HashMap<TripId, usize>,
     chain: DeltaChain,
 }
 
@@ -139,7 +167,8 @@ impl DeltaBase {
     /// Starts a chain from the checkpoint `image` stamped with `epoch`
     /// (both come from [`crate::FleetEngine::checkpoint`]).
     pub fn new(image: FleetImage, epoch: u64) -> Self {
-        DeltaBase { image, chain: DeltaChain::new(epoch) }
+        let index = image.sessions.iter().enumerate().map(|(i, rec)| (rec.id, i)).collect();
+        DeltaBase { image, index, chain: DeltaChain::new(epoch) }
     }
 
     /// Epoch of the checkpoint this chain extends.
@@ -164,29 +193,47 @@ impl DeltaBase {
 
     /// Applies the next delta of the chain: tombstones first, then
     /// upserts (replace an existing id in place, append a new one).
+    /// Records are moved into the reconstruction; a borrowed delta is
+    /// cloned first.
     ///
     /// # Errors
     /// [`DeltaChainError`] when `delta` is not exactly the next delta of
     /// this chain (wrong epoch, or a skipped/repeated/reordered sequence
     /// number); the reconstruction is unchanged on error.
-    pub fn apply(&mut self, delta: &FleetDelta) -> Result<(), DeltaChainError> {
+    pub fn apply(&mut self, delta: impl Into<FleetDelta>) -> Result<(), DeltaChainError> {
+        let delta = delta.into();
         self.chain.admit(delta.id())?;
-        if !delta.removed.is_empty() {
-            let gone: std::collections::HashSet<TripId> = delta.removed.iter().copied().collect();
-            self.image.sessions.retain(|rec| !gone.contains(&rec.id));
-        }
-        let mut index: HashMap<TripId, usize> =
-            self.image.sessions.iter().enumerate().map(|(i, rec)| (rec.id, i)).collect();
-        for rec in &delta.sessions {
-            match index.get(&rec.id) {
-                Some(&i) => self.image.sessions[i] = rec.clone(),
+        self.remove(&delta.removed);
+        for rec in delta.sessions {
+            match self.index.get(&rec.id) {
+                Some(&i) => self.image.sessions[i] = rec,
                 None => {
-                    index.insert(rec.id, self.image.sessions.len());
-                    self.image.sessions.push(rec.clone());
+                    self.index.insert(rec.id, self.image.sessions.len());
+                    self.image.sessions.push(rec);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Drops the tombstoned sessions, keeping the survivors in order and
+    /// re-pointing the index only for the ones that shifted.
+    fn remove(&mut self, removed: &[TripId]) {
+        let Some(first) = removed.iter().filter_map(|id| self.index.remove(id)).min() else {
+            return;
+        };
+        let sessions = &mut self.image.sessions;
+        let mut kept = first;
+        for i in first..sessions.len() {
+            // Removed ids are already gone from the index; a survivor
+            // still maps to its old position.
+            if self.index.get(&sessions[i].id) == Some(&i) {
+                self.index.insert(sessions[i].id, kept);
+                sessions.swap(kept, i);
+                kept += 1;
+            }
+        }
+        sessions.truncate(kept);
     }
 }
 
@@ -258,6 +305,37 @@ mod tests {
         assert_eq!(base.applied(), 2);
         assert_eq!(ids(&base), vec![1, 4, 3]);
         assert_eq!(base.image().sessions[2], record(3, 3.9));
+    }
+
+    /// The kept index stays in step with the image over a long chain of
+    /// mixed removals, restarts, replacements and appends: every fold
+    /// matches the retain-then-upsert reference rebuilt from scratch.
+    #[test]
+    fn kept_index_matches_a_rebuilt_fold_over_a_long_chain() {
+        let mut reference: Vec<SessionRecord> = (0..40).map(|id| record(id, 0.0)).collect();
+        let mut base = DeltaBase::new(FleetImage { num_shards: 1, sessions: reference.clone() }, 1);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        for seq in 1..=60u64 {
+            let removed: Vec<TripId> = (0..next(6)).map(|_| next(70)).collect();
+            let sessions: Vec<SessionRecord> =
+                (0..next(9)).map(|_| record(next(70), seq as f32)).collect();
+            reference.retain(|rec| !removed.contains(&rec.id));
+            for rec in &sessions {
+                match reference.iter().position(|r| r.id == rec.id) {
+                    Some(i) => reference[i] = rec.clone(),
+                    None => reference.push(rec.clone()),
+                }
+            }
+            base.apply(FleetDelta { base_epoch: 1, seq, num_shards: 1, removed, sessions })
+                .unwrap();
+            assert_eq!(base.image().sessions, reference, "after delta {seq}");
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
-use causaltad::{CausalTad, StepCache};
+use causaltad::{CausalTad, DeltaId, StepCache};
 use tad_metrics::{MetricsSnapshot, Registry};
 
-use crate::delta::{delta_to_bytes, FleetDelta};
+use crate::delta::{delta_from_bytes, seal_delta, FleetDelta};
 use crate::event::{Event, ScoreUpdate, TripId, TripOutcome};
 use crate::policy::{PolicyCallback, PolicyOutcome, StreamPolicy};
 use crate::shard::{run_shard, Ingest, ShardCtx};
@@ -686,42 +686,42 @@ impl FleetEngine {
     /// since the previous [`FleetEngine::checkpoint`] or
     /// [`FleetEngine::delta`], as the next delta of the current chain —
     /// cost scales with churn, not fleet size. Apply in order with
-    /// [`crate::DeltaBase::apply`].
+    /// [`crate::DeltaBase::apply`]. This is [`FleetEngine::delta_bytes`]
+    /// decoded.
+    ///
+    /// # Errors
+    /// See [`FleetEngine::delta_bytes`].
+    pub fn delta(&self) -> Result<FleetDelta, SnapshotError> {
+        let blob = self.delta_bytes()?;
+        Ok(delta_from_bytes(blob).expect("an engine's own TADD blob decodes"))
+    }
+
+    /// The next delta of the current chain as a sealed `TADD` blob (see
+    /// [`crate::delta_to_bytes`]) — the incremental artifact to append to
+    /// durable storage. Each shard encodes its own dirty sessions at its
+    /// quiesce point, in parallel; the engine stitches the chunks in
+    /// shard order and seals them without another copy.
     ///
     /// # Errors
     /// [`SnapshotError::NoCheckpoint`] before the first checkpoint,
     /// [`SnapshotError::ShardUnavailable`] when a shard worker is gone.
-    pub fn delta(&self) -> Result<FleetDelta, SnapshotError> {
+    pub fn delta_bytes(&self) -> Result<Bytes, SnapshotError> {
         let mut clock = self.delta_clock.lock().expect("delta clock poisoned");
         if !clock.armed {
             return Err(SnapshotError::NoCheckpoint);
         }
-        let parts = self.fan(Ingest::Delta)?;
+        let chunks = self.fan(Ingest::Delta)?;
         clock.seq += 1;
-        let mut removed = Vec::new();
-        let mut sessions = Vec::new();
-        for (records, tombs) in parts {
-            sessions.extend(records);
-            removed.extend(tombs);
-        }
-        self.metrics.dirty_sessions.add(sessions.len() as u64);
-        Ok(FleetDelta {
-            base_epoch: clock.epoch,
-            seq: clock.seq,
-            num_shards: self.senders.len() as u32,
-            removed,
-            sessions,
-        })
-    }
-
-    /// [`FleetEngine::delta`] serialized with [`crate::delta_to_bytes`] —
-    /// the incremental blob to append to durable storage.
-    ///
-    /// # Errors
-    /// See [`FleetEngine::delta`].
-    pub fn delta_bytes(&self) -> Result<Bytes, SnapshotError> {
-        let delta = self.delta()?;
-        let blob = delta_to_bytes(&delta);
+        let count: usize = chunks.iter().map(|c| c.count).sum();
+        let removed: Vec<TripId> = chunks.iter().flat_map(|c| c.removed.iter().copied()).collect();
+        let id = DeltaId { base_epoch: clock.epoch, seq: clock.seq };
+        let blob = seal_delta(id, self.senders.len() as u32, &removed, count, |out| {
+            out.reserve(chunks.iter().map(|c| c.records.len()).sum());
+            for chunk in &chunks {
+                out.extend_from_slice(&chunk.records);
+            }
+        });
+        self.metrics.dirty_sessions.add(count as u64);
         self.metrics.delta_bytes.add(blob.len() as u64);
         Ok(blob)
     }

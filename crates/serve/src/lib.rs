@@ -93,6 +93,7 @@ pub use engine::{
 pub use event::{Completion, Event, ScoreUpdate, TripId, TripOutcome};
 pub use policy::{GapPolicy, PolicyAction, PolicyCallback, PolicyOutcome, StreamPolicy};
 pub use snapshot::{
-    image_from_bytes, image_to_bytes, FleetImage, SessionRecord, SnapshotCodecError, SnapshotError,
+    image_from_bytes, image_to_bytes, write_record, FleetImage, SessionRecord, SnapshotCodecError,
+    SnapshotError,
 };
 pub use stats::{FleetSnapshot, FleetStats};

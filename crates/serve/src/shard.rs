@@ -13,7 +13,7 @@ use crate::engine::{CompletionCallback, FleetConfig, ScoreCallback};
 use crate::event::{Completion, Event, ScoreUpdate, TripId, TripOutcome};
 use crate::policy::{GapPolicy, PolicyAction, PolicyCallback, PolicyOutcome};
 use crate::session::{Session, SessionStore};
-use crate::snapshot::SessionRecord;
+use crate::snapshot::{write_record, SessionRecord};
 use crate::stats::{FleetStats, ServeMetrics};
 
 /// A queue message: one event, a producer-side chunk that amortises the
@@ -35,10 +35,11 @@ pub(crate) enum Ingest {
     /// dirty bit and tombstone, so the next `Delta` covers exactly the
     /// churn since this quiesce point.
     Checkpoint(SyncSender<Vec<SessionRecord>>),
-    /// Incremental capture: clones of the sessions dirtied since the last
-    /// `Checkpoint`/`Delta` (clearing their dirty bits) plus the ids
-    /// removed since then (taking the tombstone list).
-    Delta(SyncSender<(Vec<SessionRecord>, Vec<TripId>)>),
+    /// Incremental capture: the sessions dirtied since the last
+    /// `Checkpoint`/`Delta` (clearing their dirty bits), encoded in place
+    /// in the `TADD` record layout, plus the ids removed since then
+    /// (taking the tombstone list).
+    Delta(SyncSender<DeltaChunk>),
     /// Capture-and-remove of every live session for a handoff: like
     /// `Snapshot`, but the sessions leave the store without firing
     /// completion callbacks — they are not finished, they are moving to
@@ -149,6 +150,18 @@ impl ShardCtx {
     }
 }
 
+/// One shard's share of a delta capture: its dirty sessions already
+/// encoded back to back in the `TADD` record layout, ready to be
+/// stitched into the envelope in shard order.
+pub(crate) struct DeltaChunk {
+    /// The encoded records.
+    pub(crate) records: Vec<u8>,
+    /// How many records `records` holds.
+    pub(crate) count: usize,
+    /// Trip ids removed since the previous capture.
+    pub(crate) removed: Vec<TripId>,
+}
+
 /// Per-shard tombstone log for the delta layer: `None` until the first
 /// `Checkpoint` arms tracking, then the trip ids removed from the store
 /// since the last capture. Removals of sessions born after the previous
@@ -254,37 +267,51 @@ fn capture_sessions(store: &SessionStore) -> Vec<SessionRecord> {
     store.iter_lru().map(|(id, session)| record_of(id, session, now)).collect()
 }
 
-/// Clones one live session into its snapshot record (the shared capture
-/// shape of `Snapshot`, `Checkpoint`, `Delta`, and `Drain`).
+/// Clones one live session into its snapshot record (the capture shape
+/// of `Snapshot`, `Checkpoint`, and `Drain`; `Delta` encodes the same
+/// fields in place).
 fn record_of(id: TripId, session: &Session, now: Instant) -> SessionRecord {
     SessionRecord {
         id,
         state: session.state.clone(),
-        pending: session.pending.iter().chain(session.held.iter()).copied().collect(),
+        pending: captured_pending(session).collect(),
         ending: session.ending,
-        idle_micros: now.saturating_duration_since(session.last_touch).as_micros() as u64,
+        idle_micros: idle_micros(session, now),
     }
 }
 
-/// Incremental capture: clones every dirty session (clearing its dirty
-/// bit) and takes the tombstone log. With tracking unarmed (no
-/// `Checkpoint` yet) this degenerates to a full capture with no
-/// tombstones — every session still carries its initial dirty bit — so
-/// the reply is conservative, never wrong.
-fn capture_delta(
-    store: &mut SessionStore,
-    removed: &mut Tombstones,
-) -> (Vec<SessionRecord>, Vec<TripId>) {
+/// The segments a capture records as pending: the unscored queue, then
+/// the reorder hold buffer (see [`capture_sessions`]).
+fn captured_pending(session: &Session) -> impl Iterator<Item = u32> + '_ {
+    session.pending.iter().chain(session.held.iter()).copied()
+}
+
+/// How long the session has been idle at `now`.
+fn idle_micros(session: &Session, now: Instant) -> u64 {
+    now.saturating_duration_since(session.last_touch).as_micros() as u64
+}
+
+/// Incremental capture: encodes every dirty session straight into the
+/// `TADD` record layout (clearing its dirty bit) and takes the tombstone
+/// log. The encoding runs here, on the shard, so a fleet's shards encode
+/// their churn in parallel and no session is cloned on the way. With
+/// tracking unarmed (no `Checkpoint` yet) this degenerates to a full
+/// capture with no tombstones — every session still carries its initial
+/// dirty bit — so the reply is conservative, never wrong.
+fn capture_delta(store: &mut SessionStore, removed: &mut Tombstones) -> DeltaChunk {
     let now = Instant::now();
-    let tombs = removed.as_mut().map(std::mem::take).unwrap_or_default();
+    let removed = removed.as_mut().map(std::mem::take).unwrap_or_default();
     let mut records = Vec::new();
+    let mut count = 0;
     store.for_each_lru_mut(|id, session| {
         if session.dirty {
-            records.push(record_of(id, session, now));
+            let (idle, pending) = (idle_micros(session, now), captured_pending(session));
+            write_record(&mut records, id, idle, session.ending, pending, &session.state);
             session.dirty = false;
+            count += 1;
         }
     });
-    (records, tombs)
+    DeltaChunk { records, count, removed }
 }
 
 /// Seeds the store from snapshot records (validated against the model by

@@ -24,10 +24,10 @@
 //! exactly the scores of an uninterrupted run (the umbrella `fleet.rs`
 //! integration test enforces this).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use causaltad::{
-    open_envelope, seal_envelope, state_from_bytes, state_to_bytes, EnvelopeError, ScorerState,
-    StateCodecError,
+    open_envelope_summing, read_state, seal_envelope_into, write_state, EnvelopeError, ScorerState,
+    StateCodecError, SummingReader,
 };
 
 use crate::event::TripId;
@@ -207,24 +207,70 @@ impl std::error::Error for SnapshotError {}
 pub(crate) const MIN_RECORD_LEN: usize = 25;
 
 /// Appends one session record in the shared TADF/TADD record layout.
-pub(crate) fn encode_record(rec: &SessionRecord, payload: &mut BytesMut) {
-    payload.put_u64_le(rec.id);
-    payload.put_u64_le(rec.idle_micros);
-    payload.put_u8(rec.ending as u8);
-    payload.put_u32_le(rec.pending.len() as u32);
-    for &seg in &rec.pending {
-        payload.put_u32_le(seg);
+pub(crate) fn encode_record(rec: &SessionRecord, out: &mut Vec<u8>) {
+    write_record(out, rec.id, rec.idle_micros, rec.ending, rec.pending.iter().copied(), &rec.state);
+}
+
+/// Appends one session record in the shared `TADF`/`TADD` record layout
+/// straight from borrowed parts — the one record encoder, used by the
+/// image and delta codecs and by shards encoding live sessions in place
+/// at a quiesce point (no [`SessionRecord`] clone). Layout
+/// (little-endian): trip id u64, idle micros u64, ending u8, pending
+/// count u32 and segments u32 each, state length u32, then the
+/// [`causaltad::state_to_bytes`] blob.
+pub fn write_record(
+    out: &mut Vec<u8>,
+    id: TripId,
+    idle_micros: u64,
+    ending: bool,
+    pending: impl IntoIterator<Item = u32>,
+    state: &ScorerState,
+) {
+    out.put_u64_le(id);
+    out.put_u64_le(idle_micros);
+    out.put_u8(ending as u8);
+    let count_at = out.len();
+    out.put_u32_le(0);
+    let mut count = 0u32;
+    for seg in pending {
+        out.put_u32_le(seg);
+        count += 1;
     }
-    let state = state_to_bytes(&rec.state);
-    payload.put_u32_le(state.len() as u32);
-    payload.put_slice(&state);
+    out[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+    let len_at = out.len();
+    out.put_u32_le(0);
+    write_state(state, out);
+    let state_len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&state_len.to_le_bytes());
+}
+
+/// Opens one `TADF`/`TADD` envelope and decodes its payload with `parse`,
+/// verifying the envelope checksum in the same pass that parses the
+/// payload (the `TADC` states embedded in the records fold theirs into it
+/// too). A corrupt payload is a checksum mismatch whatever its parse made
+/// of it; the payload must be consumed exactly.
+pub(crate) fn decode_sealed<T>(
+    magic: &[u8; 4],
+    version: u16,
+    bytes: &[u8],
+    parse: impl FnOnce(&mut SummingReader<'_>) -> Result<T, SnapshotCodecError>,
+) -> Result<T, SnapshotCodecError> {
+    let (mut payload, stored) = open_envelope_summing(magic, version, bytes)?;
+    let parsed = parse(&mut payload);
+    payload.verify(stored)?;
+    let value = parsed?;
+    if payload.remaining() != 0 {
+        return Err(SnapshotCodecError::Malformed("trailing payload bytes"));
+    }
+    Ok(value)
 }
 
 /// Decodes one session record in the shared TADF/TADD record layout;
 /// `index` is the record's position in its list, carried into
-/// [`SnapshotCodecError::BadSession`] for diagnostics.
+/// [`SnapshotCodecError::BadSession`] for diagnostics. The embedded state
+/// is parsed (and its checksum verified) in place.
 pub(crate) fn decode_record(
-    payload: &mut Bytes,
+    payload: &mut SummingReader<'_>,
     index: usize,
 ) -> Result<SessionRecord, SnapshotCodecError> {
     if payload.remaining() < 8 + 8 + 1 + 4 {
@@ -252,48 +298,46 @@ pub(crate) fn decode_record(
     if payload.remaining() < state_len {
         return Err(SnapshotCodecError::Truncated("state blob"));
     }
-    let blob = payload.copy_to_bytes(state_len);
-    let state = state_from_bytes(blob)
+    let state = read_state(payload, state_len)
         .map_err(|source| SnapshotCodecError::BadSession { index, source })?;
     Ok(SessionRecord { id, state, pending, ending, idle_micros })
 }
 
 /// Serialises a fleet image (the persistent artifact of a warm restart).
 pub fn image_to_bytes(image: &FleetImage) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64 + image.sessions.len() * 256);
-    payload.put_u32_le(image.num_shards);
-    payload.put_u32_le(image.sessions.len() as u32);
-    for rec in &image.sessions {
-        encode_record(rec, &mut payload);
-    }
-
-    seal_envelope(MAGIC, VERSION, payload.freeze())
+    let mut out = Vec::with_capacity(64 + image.sessions.len() * 256);
+    seal_envelope_into(MAGIC, VERSION, &mut out, |payload| {
+        payload.put_u32_le(image.num_shards);
+        payload.put_u32_le(image.sessions.len() as u32);
+        for rec in &image.sessions {
+            encode_record(rec, payload);
+        }
+    });
+    Bytes::from(out)
 }
 
 /// Restores a fleet image serialized by [`image_to_bytes`]. The whole
 /// input must be one snapshot (trailing bytes are rejected); decoding
 /// never panics, whatever the input.
 pub fn image_from_bytes(bytes: Bytes) -> Result<FleetImage, SnapshotCodecError> {
-    let mut payload = open_envelope(MAGIC, VERSION, bytes)?;
-    if payload.remaining() < 8 {
-        return Err(SnapshotCodecError::Truncated("session count"));
-    }
-    let num_shards = payload.get_u32_le();
-    let count = payload.get_u32_le() as usize;
-    // Bounding `count` by the smallest possible record caps the allocation
-    // below at the actual input size. Checked math keeps the guard honest
-    // on 32-bit targets too.
-    if count.checked_mul(MIN_RECORD_LEN).is_none_or(|need| payload.remaining() < need) {
-        return Err(SnapshotCodecError::Truncated("session records"));
-    }
-    let mut sessions = Vec::with_capacity(count);
-    for index in 0..count {
-        sessions.push(decode_record(&mut payload, index)?);
-    }
-    if payload.remaining() != 0 {
-        return Err(SnapshotCodecError::Malformed("trailing payload bytes"));
-    }
-    Ok(FleetImage { num_shards, sessions })
+    decode_sealed(MAGIC, VERSION, &bytes, |payload| {
+        if payload.remaining() < 8 {
+            return Err(SnapshotCodecError::Truncated("session count"));
+        }
+        let num_shards = payload.get_u32_le();
+        let count = payload.get_u32_le() as usize;
+        // Bounding `count` by the smallest possible record caps the
+        // allocation below at the actual input size. Checked math keeps
+        // the guard honest on 32-bit targets too.
+        if count.checked_mul(MIN_RECORD_LEN).is_none_or(|need| payload.remaining() < need) {
+            return Err(SnapshotCodecError::Truncated("session records"));
+        }
+        let mut sessions = Vec::with_capacity(count);
+        for index in 0..count {
+            sessions.push(decode_record(payload, index)?);
+        }
+        Ok(FleetImage { num_shards, sessions })
+    })
 }
 
 #[cfg(test)]

@@ -385,3 +385,55 @@ fn delta_chain_restore_matches_full_snapshot_restore_bit_exactly() {
         );
     }
 }
+
+/// The shard-side delta encoder captures exactly what a full snapshot
+/// captures at the same quiesce point, and its stitched `TADD` blob is
+/// the canonical encoding: re-encoding the decoded delta with
+/// `delta_to_bytes` reproduces it byte for byte. A reorder window holds
+/// out-of-order segments, so some captured sessions carry a non-empty
+/// pending queue.
+#[test]
+fn shard_encoded_delta_matches_snapshot_records_and_canonical_bytes() {
+    use causaltad_suite::serve::{delta_from_bytes, delta_to_bytes, StreamPolicy};
+
+    let (city, model) = trained();
+    let trips: Vec<&Trajectory> =
+        city.data.test_id.iter().filter(|t| t.len() >= 4).take(8).collect();
+    let policy = StreamPolicy { reorder_window: 4, ..StreamPolicy::default() };
+    let engine = FleetEngine::builder(Arc::clone(model))
+        .config(FleetConfig { num_shards: 3, policy, ..FleetConfig::default() })
+        .build()
+        .expect("trained model");
+    let start = |id: usize, t: &Trajectory| {
+        let sd = t.sd_pair();
+        Event::TripStart { id: id as u64, source: sd.source.0, dest: sd.dest.0, time_slot: 0 }
+    };
+    for (id, t) in trips.iter().enumerate() {
+        engine.submit(start(id, t)).unwrap();
+        engine.submit(Event::Segment { id: id as u64, seg: t.segments[0].0 }).unwrap();
+    }
+    engine.checkpoint().expect("arm the chain");
+    for (id, t) in trips.iter().enumerate() {
+        // Odd trips skip ahead: segment 2 cannot chain onto segment 0 and
+        // waits in the reorder window.
+        let seg = if id % 2 == 1 { t.segments[2].0 } else { t.segments[1].0 };
+        engine.submit(Event::Segment { id: id as u64, seg }).unwrap();
+    }
+    let blob = engine.delta_bytes().expect("delta");
+    let full = engine.snapshot().expect("full capture at the same cut");
+    engine.shutdown();
+
+    let delta = delta_from_bytes(blob.clone()).expect("TADD decodes");
+    assert_eq!(delta_to_bytes(&delta).to_vec(), blob.to_vec(), "canonical encoding");
+    assert_eq!(delta.sessions.len(), trips.len(), "every session was touched");
+    assert!(delta.sessions.iter().any(|rec| !rec.pending.is_empty()), "held segments captured");
+    for rec in &delta.sessions {
+        let twin = full.sessions.iter().find(|r| r.id == rec.id).expect("same live session");
+        assert_eq!(
+            (&rec.state, &rec.pending, rec.ending),
+            (&twin.state, &twin.pending, twin.ending),
+            "trip {}",
+            rec.id
+        );
+    }
+}

@@ -6,7 +6,8 @@ mod common;
 use std::sync::Arc;
 
 use causaltad_suite::core::{
-    state_from_bytes, state_to_bytes, DeltaChainError, ScorerState, SegmentTrace, StateCodecError,
+    seal_envelope, state_from_bytes, state_to_bytes, write_state, DeltaChainError, ScorerState,
+    SegmentTrace, StateCodecError,
 };
 use causaltad_suite::metrics::{
     snapshot_from_bytes, snapshot_to_bytes, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
@@ -18,8 +19,8 @@ use causaltad_suite::net::{
 };
 use causaltad_suite::router::{backend_for, split_image, RouterServer};
 use causaltad_suite::serve::{
-    delta_from_bytes, delta_to_bytes, image_from_bytes, image_to_bytes, Completion, DeltaBase,
-    Event, FleetConfig, FleetDelta, FleetImage, FleetSnapshot, GapPolicy, PolicyAction,
+    delta_from_bytes, delta_to_bytes, image_from_bytes, image_to_bytes, write_record, Completion,
+    DeltaBase, Event, FleetConfig, FleetDelta, FleetImage, FleetSnapshot, GapPolicy, PolicyAction,
     ScoreUpdate, SessionRecord, SnapshotCodecError, StreamPolicy,
 };
 use common::script::scripted_conn;
@@ -634,6 +635,91 @@ proptest! {
                 "flip byte {byte} bit {bit} was accepted"
             );
         }
+    }
+
+    /// The in-place record encoder a shard runs at its quiesce point is
+    /// byte-identical to the record layout spelled out field by field
+    /// around a standalone `state_to_bytes` blob — for arbitrary records,
+    /// empty pending queues and empty traces included, with the pending
+    /// segments split across two queues (a session's pending and held
+    /// buffers) and written at an arbitrary offset into a shared buffer.
+    /// The `TADD` and `TADF` envelopes built from those records match the
+    /// hand-assembled envelopes too.
+    #[test]
+    fn in_place_record_encoder_matches_the_reference_layout(
+        seed in 0u64..10_000,
+        n in 0usize..12,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let records: Vec<SessionRecord> = (0..n as u64)
+            .map(|id| {
+                let mut rec = arb_record(id, &mut rng);
+                if id % 3 == 0 {
+                    rec.pending.clear();
+                }
+                if id % 4 == 1 {
+                    let s = rec.state;
+                    let (h, last, slot) = (s.hidden().to_vec(), s.last_segment(), s.time_slot());
+                    rec.state = ScorerState::from_parts(h, 0.5, -1.5, 2.0, last, slot, Vec::new());
+                }
+                rec
+            })
+            .collect();
+        let reference: Vec<Vec<u8>> = records
+            .iter()
+            .map(|rec| {
+                let state = state_to_bytes(&rec.state);
+                let mut out = Vec::new();
+                out.extend_from_slice(&rec.id.to_le_bytes());
+                out.extend_from_slice(&rec.idle_micros.to_le_bytes());
+                out.push(rec.ending as u8);
+                out.extend_from_slice(&(rec.pending.len() as u32).to_le_bytes());
+                for seg in &rec.pending {
+                    out.extend_from_slice(&seg.to_le_bytes());
+                }
+                out.extend_from_slice(&(state.len() as u32).to_le_bytes());
+                out.extend_from_slice(&state);
+                out
+            })
+            .collect();
+
+        let prefix: Vec<u8> = (0..rng.gen_range(0usize..40)).map(|_| rng.gen_range(0u8..=255)).collect();
+        let mut shared = prefix.clone();
+        for rec in &records {
+            let (pending, held) = rec.pending.split_at(rng.gen_range(0..=rec.pending.len()));
+            let segs = pending.iter().chain(held).copied();
+            write_record(&mut shared, rec.id, rec.idle_micros, rec.ending, segs, &rec.state);
+        }
+        prop_assert_eq!(&shared[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&shared[prefix.len()..], &reference.concat()[..]);
+        for rec in &records {
+            let mut at_offset = prefix.clone();
+            write_state(&rec.state, &mut at_offset);
+            prop_assert_eq!(&at_offset[prefix.len()..], &state_to_bytes(&rec.state)[..]);
+        }
+
+        let delta = arb_delta(7, 3, 0, &mut rng);
+        let delta = FleetDelta { sessions: records.clone(), ..delta };
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&delta.base_epoch.to_le_bytes());
+        payload.extend_from_slice(&delta.seq.to_le_bytes());
+        payload.extend_from_slice(&delta.num_shards.to_le_bytes());
+        payload.extend_from_slice(&(delta.removed.len() as u32).to_le_bytes());
+        for id in &delta.removed {
+            payload.extend_from_slice(&id.to_le_bytes());
+        }
+        payload.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        payload.extend_from_slice(&reference.concat());
+        let sealed = seal_envelope(b"TADD", 1, payload.into());
+        prop_assert_eq!(delta_to_bytes(&delta).to_vec(), sealed.to_vec());
+
+        let image = FleetImage { num_shards: 5, sessions: records };
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&5u32.to_le_bytes());
+        payload.extend_from_slice(&(n as u32).to_le_bytes());
+        payload.extend_from_slice(&reference.concat());
+        let sealed = seal_envelope(b"TADF", 1, payload.into());
+        prop_assert_eq!(image_to_bytes(&image).to_vec(), sealed.to_vec());
     }
 
     /// A delta chain applies if and only if it is *exactly* the next link:

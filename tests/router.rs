@@ -967,3 +967,224 @@ fn barriers_across_a_failover_wait_for_the_new_map_or_fail_typed() {
         backend.shutdown();
     }
 }
+
+// ---------------------------------------------------------------------------
+// Checkpoint sweeps: per-link fallback, a dead link mid-chain, pacing
+// ---------------------------------------------------------------------------
+
+/// Reads one of the router's per-link counters (`router.backend.N.<name>`).
+fn link_counter(router: &RouterServer, idx: usize, name: &str) -> u64 {
+    router.metrics().counter(&format!("router.backend.{idx}.{name}")).unwrap_or(0)
+}
+
+/// A sweep falls back to a full capture only on the link whose delta
+/// chain broke: a `SnapshotRequest` sent straight to backend 0's own
+/// front door re-bases that backend's chain behind the router's back, so
+/// its next delta no longer extends the router's base. The sweep must
+/// serve exactly one full image (backend 0) and one delta (backend 1),
+/// the following sweep is all-delta again, and a later failover of the
+/// re-based backend is still bit-identical and exactly-once.
+#[test]
+fn sweep_falls_back_to_full_capture_only_on_the_broken_link() {
+    let (city, model) = trained();
+    let trips: Vec<&Trajectory> = city.data.test_id.iter().take(12).collect();
+    let events = interleave(&trips);
+    let cfg = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    let reference = in_process(model, &events, cfg.clone());
+
+    let (mut backends, router) = spawn_fleet_with_standbys(model, 2, 1, cfg);
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let mut routed = Produced::default();
+    let (mut raw_scores, mut raw_completes) = (0usize, 0usize);
+    let cuts = [events.len() / 5, events.len() * 2 / 5, events.len() * 3 / 5, events.len()];
+    let mut sent = 0usize;
+    let mut stream_to = |cut: usize, client: &mut Client, routed: &mut Produced| {
+        send_events(client, &events[sent..cut]);
+        sent = cut;
+        client.flush().expect("barrier");
+        let (s, c) = drain_counted(client, routed);
+        raw_scores += s;
+        raw_completes += c;
+    };
+
+    stream_to(cuts[0], &mut client, &mut routed);
+    let sweep = router.checkpoint().expect("cold sweep");
+    assert_eq!((sweep.full_captures, sweep.delta_captures), (2, 0));
+    stream_to(cuts[1], &mut client, &mut routed);
+    let sweep = router.checkpoint().expect("warm sweep");
+    assert_eq!((sweep.full_captures, sweep.delta_captures), (0, 2));
+
+    // Re-base backend 0's chain out of band.
+    Client::connect(backends[0].local_addr())
+        .expect("direct connect")
+        .snapshot()
+        .expect("direct snapshot");
+    stream_to(cuts[2], &mut client, &mut routed);
+    let sweep = router.checkpoint().expect("sweep over one broken chain");
+    assert_eq!((sweep.full_captures, sweep.delta_captures), (1, 1), "only the broken link is full");
+    assert_eq!(link_counter(&router, 0, "full_captures"), 2);
+    assert_eq!(link_counter(&router, 0, "delta_captures"), 1);
+    assert_eq!(link_counter(&router, 1, "full_captures"), 1);
+    assert_eq!(link_counter(&router, 1, "delta_captures"), 2);
+    let sweep = router.checkpoint().expect("re-armed sweep");
+    assert_eq!((sweep.full_captures, sweep.delta_captures), (0, 2), "the fallback re-armed");
+
+    // Kill the re-based backend and finish the stream through the
+    // failover.
+    backends.remove(0).shutdown();
+    stream_to(cuts[3], &mut client, &mut routed);
+
+    assert_bit_identical(&routed, &reference);
+    assert_eq!(raw_scores, reference.scores.len(), "every score exactly once");
+    assert_eq!(raw_completes, trips.len(), "every completion exactly once");
+    assert_eq!(router.stats().failovers, 1);
+    assert_eq!(router.stats().responses_dropped, 0);
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
+/// A backend killed between sweeps makes the next sweep fail naming it —
+/// and only after every other link's staged capture was finished and
+/// folded in: the survivor's delta chain keeps linking sweep after sweep
+/// (its captures stay deltas, never a fallback full), which it could not
+/// if a capture had been left in flight. A watchdog proves the failing
+/// sweeps return instead of hanging on the dead link.
+#[test]
+fn sweep_over_a_dead_backend_names_it_and_finishes_every_other_link() {
+    let (city, model) = trained();
+    let trips: Vec<&Trajectory> = city.data.test_id.iter().take(12).collect();
+    let events = interleave(&trips);
+    let cfg = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    let (mut backends, router) = spawn_fleet(model, 2, cfg);
+    let router = Arc::new(router);
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+
+    let half = events.len() / 2;
+    send_events(&mut client, &events[..half / 2]);
+    client.flush().expect("barrier");
+    assert_eq!(router.checkpoint().expect("cold sweep").full_captures, 2);
+    send_events(&mut client, &events[half / 2..half]);
+    client.flush().expect("barrier");
+    assert_eq!(router.checkpoint().expect("warm sweep").delta_captures, 2);
+
+    backends.remove(0).shutdown();
+    for round in 1..=2u64 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sweeper = Arc::clone(&router);
+        let watched = std::thread::spawn(move || {
+            let _ = tx.send(sweeper.checkpoint());
+        });
+        match rx.recv_timeout(Duration::from_secs(60)) {
+            Ok(Err(RouterAdminError::Backend { backend: 0, .. })) => {}
+            Ok(other) => panic!("sweep {round} over a dead backend 0 gave {other:?}"),
+            Err(_) => panic!("sweep {round} hung on the dead backend"),
+        }
+        watched.join().expect("sweeper thread");
+        assert_eq!(link_counter(&router, 1, "delta_captures"), 1 + round, "sweep {round}");
+        assert_eq!(link_counter(&router, 1, "full_captures"), 1, "survivor chain intact");
+    }
+
+    drop(client);
+    Arc::try_unwrap(router).ok().expect("sweepers joined").shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
+/// Sweeps under load over backends that pace the router's link: capture
+/// replies far larger than the backends' write high-water make a backend
+/// pause reading the link while a reply drains (a trip-less
+/// `Backpressure` notice), and a per-connection rate limit pauses it
+/// whenever the link overdraws its bucket (a trip-less `Throttled`
+/// notice). Both are pacing notices, counted per link: no producer reply
+/// is lost, so `responses_dropped` stays 0 and every score is
+/// bit-identical.
+#[test]
+fn sweeps_under_load_drop_no_responses() {
+    use causaltad_suite::net::NetConfig;
+
+    let (city, model) = trained();
+    let trips: Vec<&Trajectory> = city.data.test_id.iter().cycle().take(600).collect();
+    let events = interleave(&trips);
+    let cfg = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    let reference = in_process(model, &events, cfg.clone());
+    let net = NetConfig {
+        write_highwater: 512,
+        rate_limit_segments_per_s: 20_000,
+        rate_limit_burst: 500,
+        ..NetConfig::default()
+    };
+    let backends: Vec<NetServer> = (0..3)
+        .map(|_| {
+            NetServer::builder(Arc::clone(model))
+                .fleet_config(cfg.clone())
+                .net_config(net.clone())
+                .bind("127.0.0.1:0")
+                .expect("bind backend")
+        })
+        .collect();
+    let router = RouterServer::builder()
+        .backends(backends.iter().take(2).map(|b| b.local_addr()))
+        .standby(backends[2].local_addr())
+        .bind("127.0.0.1:0")
+        .expect("bind router");
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let mut routed = Produced::default();
+
+    for chunk in events.chunks(events.len().div_ceil(6)) {
+        send_events(&mut client, chunk);
+        router.checkpoint().expect("sweep under load");
+        drain(&mut client, &mut routed);
+    }
+    client.flush().expect("barrier");
+    drain(&mut client, &mut routed);
+
+    assert_bit_identical(&routed, &reference);
+    let notices: u64 = (0..2).map(|idx| link_counter(&router, idx, "pacing_notices")).sum();
+    assert!(notices > 0, "the backends must have paced the router's links");
+    assert_eq!(router.stats().responses_dropped, 0, "pacing notices are not dropped responses");
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
+/// The capture-reply pacing notice on its own, scripted: a backend that
+/// answers the sweep's `SnapshotRequest` with a trip-less `Backpressure`
+/// notice ("response backlog exceeds write high-water; reads paused")
+/// ahead of its image — what a real backend sends when a multi-MB
+/// capture reply fills its write buffer. The notice is counted on the
+/// link's pacing counter; the sweep succeeds and nothing is dropped.
+#[test]
+fn capture_backpressure_notice_is_pacing_not_a_dropped_response() {
+    use causaltad_suite::net::{read_request, write_response, Request, DEFAULT_MAX_FRAME};
+    use causaltad_suite::serve::{image_to_bytes, FleetImage};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted backend");
+    let addr = listener.local_addr().expect("scripted backend addr");
+    let scripted = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().expect("accept router link");
+        while let Ok(Some(req)) = read_request(&mut sock, DEFAULT_MAX_FRAME) {
+            if req == Request::SnapshotRequest {
+                let notice = Response::Error {
+                    code: ErrorCode::Backpressure,
+                    trip: None,
+                    retry_after_ms: None,
+                    detail: "response backlog exceeds write high-water; reads paused".to_string(),
+                };
+                let image = image_to_bytes(&FleetImage::default());
+                write_response(&mut sock, &notice).expect("write notice");
+                write_response(&mut sock, &Response::Snapshot { image }).expect("write image");
+            }
+        }
+    });
+    let router = RouterServer::builder().backend(addr).bind("127.0.0.1:0").expect("bind router");
+    let sweep = router.checkpoint().expect("sweep over the scripted backend");
+    assert_eq!((sweep.full_captures, sweep.delta_captures), (1, 0));
+    assert_eq!(link_counter(&router, 0, "pacing_notices"), 1);
+    assert_eq!(router.stats().responses_dropped, 0);
+    router.shutdown();
+    scripted.join().expect("scripted backend");
+}
