@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use causaltad::{CausalTad, CausalTadConfig, SegmentTrace};
+use causaltad::{CausalTad, CausalTadConfig};
 use tad_bench::fleet_walks;
 use tad_eval::cities::{xian_s, Scale};
 use tad_net::{
@@ -49,8 +49,8 @@ fn score_response() -> Response {
     })
 }
 
-/// The big response: a finished trip with a serving-realistic 24-segment
-/// trace.
+/// The per-trip response: a finished trip (fixed-size, whatever the trip
+/// length).
 fn trip_complete_response() -> Response {
     Response::TripComplete(TripComplete {
         id: 0x1234_5678,
@@ -58,9 +58,7 @@ fn trip_complete_response() -> Response {
         score: 12.5,
         likelihood_nll: 14.0,
         scale_log_sum: 1.5,
-        trace: (0..24)
-            .map(|i| SegmentTrace { segment: i, nll: 0.25 * i as f64, log_scale: 0.125 })
-            .collect(),
+        segments: 24,
     })
 }
 
@@ -90,10 +88,8 @@ fn bench_frame_codec(c: &mut Criterion) {
             b.iter(|| request_from_bytes(blob.clone()).expect("valid frame"))
         });
     }
-    let responses: Vec<(&str, Response)> = vec![
-        ("score_response", score_response()),
-        ("trip_complete_24seg", trip_complete_response()),
-    ];
+    let responses: Vec<(&str, Response)> =
+        vec![("score_response", score_response()), ("trip_complete", trip_complete_response())];
     for (name, resp) in &responses {
         let blob = response_to_bytes(resp);
         group.bench_function(format!("encode/{name}"), |b| b.iter(|| response_to_bytes(resp)));
@@ -322,7 +318,6 @@ fn bench_loopback(c: &mut Criterion) {
             (format!("loopback_conns{conns}"), pass)
         })
         .collect();
-    let multi = sweep[1].1;
     let routed = median_pass(reps, || routed_pass(&model, &walks, BACKENDS, CONNS));
 
     let codec = [
@@ -351,12 +346,12 @@ fn bench_loopback(c: &mut Criterion) {
             })
         }),
         (
-            "trip_complete_24seg_encode",
+            "trip_complete_encode",
             frames_per_s(|| {
                 std::hint::black_box(response_to_bytes(&trip_complete_response()));
             }),
         ),
-        ("trip_complete_24seg_decode", {
+        ("trip_complete_decode", {
             let blob = response_to_bytes(&trip_complete_response());
             frames_per_s(move || {
                 std::hint::black_box(response_from_bytes(blob.clone()).expect("valid"));
@@ -366,8 +361,6 @@ fn bench_loopback(c: &mut Criterion) {
     let mut passes: Vec<(String, (f64, u64, u64))> =
         vec![("loopback".to_string(), (elapsed, events, scored))];
     passes.extend(sweep);
-    // Continuity keys for the PR-over-PR trajectory.
-    passes.push(("loopback_multi4".to_string(), multi));
     passes.push(("routed_2backends".to_string(), routed));
     write_json(sessions, len, events, &passes, &codec);
 }

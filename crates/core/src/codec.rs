@@ -19,8 +19,10 @@
 //!   shared [`crate::envelope`] module, also used by the fleet-snapshot
 //!   and wire-frame codecs): magic `TADC`, version u16, u64
 //!   payload length, payload (hidden row, score accumulators, last
-//!   segment, time slot, per-segment trace), then a FNV-1a 64 checksum of
-//!   the payload. Decoding hostile bytes returns a typed
+//!   segment, time slot, segment count — fixed-size for a given hidden
+//!   width), then a FNV-1a 64 checksum of the payload. Version 1 blobs
+//!   (which carried a per-segment trace) decode to
+//!   [`StateCodecError::BadVersion`]. Decoding hostile bytes returns a typed
 //!   [`StateCodecError`]; no input can panic the decoder.
 //!
 //! [`ParamStore`]: tad_autodiff::ParamStore
@@ -30,7 +32,7 @@ use tad_roadnet::RoadNetwork;
 
 use crate::config::CausalTadConfig;
 use crate::model::CausalTad;
-use crate::online::{ScorerState, SegmentTrace};
+use crate::online::ScorerState;
 use crate::scaling::ScalingTable;
 
 use crate::envelope::{
@@ -41,7 +43,7 @@ const MAGIC: &[u8; 4] = b"TADM";
 const VERSION: u16 = 1;
 
 const STATE_MAGIC: &[u8; 4] = b"TADC";
-const STATE_VERSION: u16 = 1;
+const STATE_VERSION: u16 = 2;
 
 /// Errors produced when decoding a serialized model.
 #[derive(Debug, PartialEq, Eq)]
@@ -249,7 +251,7 @@ pub fn state_to_bytes(state: &ScorerState) -> Bytes {
 /// Appends the [`state_to_bytes`] blob of `state` to `out` in place — the
 /// one state encoder, for callers that embed many states in one buffer.
 pub fn write_state(state: &ScorerState, out: &mut Vec<u8>) {
-    out.reserve(ENVELOPE_OVERHEAD + 42 + state.h.len() * 4 + state.trace.len() * 20);
+    out.reserve(ENVELOPE_OVERHEAD + 42 + state.h.len() * 4);
     seal_envelope_into(STATE_MAGIC, STATE_VERSION, out, |payload| {
         payload.put_u32_le(state.h.cols() as u32);
         payload.extend(state.h.data().iter().flat_map(|x| x.to_le_bytes()));
@@ -264,14 +266,7 @@ pub fn write_state(state: &ScorerState, out: &mut Vec<u8>) {
             None => payload.put_u8(0),
         }
         payload.put_u8(state.time_slot);
-        payload.put_u32_le(state.trace.len() as u32);
-        for step in &state.trace {
-            let mut entry = [0u8; 20];
-            entry[0..4].copy_from_slice(&step.segment.to_le_bytes());
-            entry[4..12].copy_from_slice(&step.nll.to_le_bytes());
-            entry[12..20].copy_from_slice(&step.log_scale.to_le_bytes());
-            payload.put_slice(&entry);
-        }
+        payload.put_u32_le(state.segments);
     });
 }
 
@@ -339,24 +334,10 @@ fn parse_state_payload(payload: &mut &[u8]) -> Result<ScorerState, StateCodecErr
         _ => return Err(StateCodecError::Malformed("last-segment flag")),
     };
     if payload.remaining() < 1 + 4 {
-        return Err(StateCodecError::Truncated("trace length"));
+        return Err(StateCodecError::Truncated("segment count"));
     }
-    let time_slot = payload.get_u8();
-    let trace_len = payload.get_u32_le() as usize;
-    if trace_len.checked_mul(20).is_none_or(|need| payload.remaining() < need) {
-        return Err(StateCodecError::Truncated("trace entries"));
-    }
-    let (entries, rest) = payload.split_at(trace_len * 20);
-    *payload = rest;
-    let trace: Vec<SegmentTrace> = entries
-        .chunks_exact(20)
-        .map(|e| SegmentTrace {
-            segment: u32::from_le_bytes(e[0..4].try_into().expect("4 bytes")),
-            nll: f64::from_le_bytes(e[4..12].try_into().expect("8 bytes")),
-            log_scale: f64::from_le_bytes(e[12..20].try_into().expect("8 bytes")),
-        })
-        .collect();
-    Ok(ScorerState::from_parts(hidden, base_nll, traj_nll, scale_log_sum, last, time_slot, trace))
+    let (time_slot, count) = (payload.get_u8(), payload.get_u32_le());
+    Ok(ScorerState::from_parts(hidden, base_nll, traj_nll, scale_log_sum, last, time_slot, count))
 }
 
 fn flag_bits(cfg: &CausalTadConfig) -> u8 {

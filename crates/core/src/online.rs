@@ -9,19 +9,21 @@
 //!
 //! Two ways to drive it:
 //!
-//! * [`OnlineScorer`] — the borrowing, one-trip-at-a-time API.
-//! * [`ScorerState`] — the owned, snapshotable state behind it. A serving
-//!   layer (see the `tad-serve` crate) keeps thousands of these alive and
-//!   advances whole cohorts at once through [`CausalTad::push_batch`],
-//!   turning the per-segment GRU step and successor projection into
-//!   matrix-matrix products.
+//! * [`OnlineScorer`] — the borrowing, one-trip-at-a-time API; it alone
+//!   keeps the per-segment [`SegmentTrace`] behind Fig. 4.
+//! * [`ScorerState`] — the owned, fixed-size, snapshotable state behind
+//!   it. A serving layer (see the `tad-serve` crate) keeps thousands of
+//!   these alive and advances whole cohorts at once through
+//!   [`CausalTad::push_batch`], turning the per-segment GRU step and
+//!   successor projection into matrix-matrix products.
 
 use tad_autodiff::Tensor;
 
 use crate::model::CausalTad;
 use crate::tgvae::StepCache;
 
-/// Per-segment contribution to the anomaly score (Fig. 4's data).
+/// One consumed segment: its contribution to the anomaly score (Fig. 4's
+/// data) and the score after it. Every push returns one.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SegmentTrace {
     /// The road segment.
@@ -30,6 +32,8 @@ pub struct SegmentTrace {
     pub nll: f64,
     /// `log E[1/P(t_i|e_i)]` — the debiasing part (before λ).
     pub log_scale: f64,
+    /// Debiased anomaly score (Eq. 10) after this segment.
+    pub score: f64,
 }
 
 impl SegmentTrace {
@@ -73,6 +77,10 @@ impl std::error::Error for OnlineError {}
 /// model borrow so a serving layer can store it, snapshot it, and advance
 /// many of them in one batch. Persist it with
 /// [`crate::state_to_bytes`] / [`crate::state_from_bytes`].
+///
+/// The state is fixed-size: the hidden row, three score accumulators, the
+/// Markov predecessor, the time slot and a segment count. It keeps no
+/// per-segment trace; [`OnlineScorer`] records one offline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScorerState {
     /// Decoder hidden state (`1 x hidden`) after consuming all pushed
@@ -88,7 +96,8 @@ pub struct ScorerState {
     /// Previously pushed segment (None before the first push).
     pub(crate) last: Option<u32>,
     pub(crate) time_slot: u8,
-    pub(crate) trace: Vec<SegmentTrace>,
+    /// Number of segments consumed so far.
+    pub(crate) segments: u32,
 }
 
 impl Default for ScorerState {
@@ -102,7 +111,7 @@ impl Default for ScorerState {
             scale_log_sum: 0.0,
             last: None,
             time_slot: 0,
-            trace: Vec::new(),
+            segments: 0,
         }
     }
 }
@@ -126,10 +135,10 @@ impl ScorerState {
         scale_log_sum: f64,
         last: Option<u32>,
         time_slot: u8,
-        trace: Vec<SegmentTrace>,
+        segments: u32,
     ) -> ScorerState {
         let h = Tensor::from_vec(1, hidden.len(), hidden);
-        ScorerState { h, base_nll, traj_nll, scale_log_sum, last, time_slot, trace }
+        ScorerState { h, base_nll, traj_nll, scale_log_sum, last, time_slot, segments }
     }
 
     /// Width of the decoder hidden state (0 for the inert
@@ -179,22 +188,23 @@ impl ScorerState {
 
     /// Number of segments consumed so far.
     pub fn len(&self) -> usize {
-        self.trace.len()
+        self.segments as usize
     }
 
     /// True before the first push.
     pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
+        self.segments == 0
     }
 
-    /// Per-segment contributions (the data behind Fig. 4).
-    pub fn trace(&self) -> &[SegmentTrace] {
-        &self.trace
-    }
-
-    /// Consumes the state, returning the trace.
-    pub fn into_trace(self) -> Vec<SegmentTrace> {
-        self.trace
+    /// Folds one scored segment into the accumulators and returns its
+    /// trace entry — the tail shared by [`CausalTad::push_state`] and
+    /// [`CausalTad::push_batch`].
+    fn commit(&mut self, seg: u32, nll: f64, log_scale: f64, lambda: f64) -> SegmentTrace {
+        self.traj_nll += nll;
+        self.scale_log_sum += log_scale;
+        self.last = Some(seg);
+        self.segments += 1;
+        SegmentTrace { segment: seg, nll, log_scale, score: self.score(lambda) }
     }
 
     /// Forgets the Markov predecessor so the next pushed segment is charged
@@ -248,7 +258,7 @@ impl CausalTad {
             scale_log_sum: 0.0,
             last: None,
             time_slot,
-            trace: Vec::new(),
+            segments: 0,
         })
     }
 
@@ -259,6 +269,15 @@ impl CausalTad {
     /// Panics if `seg` is outside the model vocabulary or the state was not
     /// produced by [`CausalTad::start_state`] on this model.
     pub fn push_state(&self, state: &mut ScorerState, seg: u32) -> f64 {
+        self.step_state(state, seg).score
+    }
+
+    /// [`CausalTad::push_state`], returning the whole step: the segment's
+    /// score contributions and the updated score.
+    ///
+    /// # Panics
+    /// As [`CausalTad::push_state`].
+    pub fn step_state(&self, state: &mut ScorerState, seg: u32) -> SegmentTrace {
         let table = self.scaling().expect("state was started, so the table exists");
         let nll = match state.last {
             // t_1 is the source — fixed by the condition c, so no
@@ -269,22 +288,18 @@ impl CausalTad {
                 self.tg.step_nll(&self.store, &state.h, cands, seg)
             }
         };
-        state.traj_nll += nll;
         let log_scale = table.log_scale(seg, state.time_slot);
-        state.scale_log_sum += log_scale;
         state.h = self.tg.advance(&self.store, &state.h, seg);
-        state.last = Some(seg);
-        state.trace.push(SegmentTrace { segment: seg, nll, log_scale });
-        state.score(self.config().lambda)
+        state.commit(seg, nll, log_scale, self.config().lambda)
     }
 
     /// Advances many live sessions by one segment each in a single
     /// micro-batch: session `i` consumes `segs[i]`. The GRU step runs as one
     /// `batch x hidden` matrix product (and, with a [`StepCache`], skips the
     /// input-gate matmul entirely); sessions sharing a successor set share
-    /// one projection product. Returns the updated debiased score per
-    /// session, numerically identical to calling
-    /// [`CausalTad::push_state`] per session in isolation.
+    /// one projection product. Returns each session's step (its score
+    /// contributions and updated debiased score), numerically identical to
+    /// calling [`CausalTad::step_state`] per session in isolation.
     ///
     /// `states` may hold the states inline (`&mut [ScorerState]`) or by
     /// mutable reference (`&mut [&mut ScorerState]`), so callers can batch
@@ -298,7 +313,7 @@ impl CausalTad {
         cache: Option<&StepCache>,
         states: &mut [S],
         segs: &[u32],
-    ) -> Vec<f64> {
+    ) -> Vec<SegmentTrace> {
         assert_eq!(states.len(), segs.len(), "push_batch: states vs segs length");
         let table = self.scaling().expect("states were started, so the table exists");
         let n = states.len();
@@ -334,19 +349,15 @@ impl CausalTad {
         let new_hs = self.tg.advance_batch(&self.store, cache, &hs, segs);
 
         let lambda = self.config().lambda;
-        let mut scores = Vec::with_capacity(n);
+        let mut steps = Vec::with_capacity(n);
         for (i, st) in states.iter_mut().enumerate() {
             let st = st.as_mut();
             let seg = segs[i];
-            st.traj_nll += nlls[i];
             let log_scale = table.log_scale(seg, st.time_slot);
-            st.scale_log_sum += log_scale;
             st.h.row_mut(0).copy_from_slice(new_hs.row(i));
-            st.last = Some(seg);
-            st.trace.push(SegmentTrace { segment: seg, nll: nlls[i], log_scale });
-            scores.push(st.score(lambda));
+            steps.push(st.commit(seg, nlls[i], log_scale, lambda));
         }
-        scores
+        steps
     }
 
     /// Precomputes the decoder's per-token input-gate projections so batched
@@ -357,10 +368,12 @@ impl CausalTad {
 }
 
 /// Streaming scorer for one ongoing trajectory: a [`ScorerState`] borrowing
-/// its model.
+/// its model, plus the per-segment trace of every push it made (Fig. 4's
+/// data — kept here, offline, and never in the state itself).
 pub struct OnlineScorer<'m> {
     model: &'m CausalTad,
     state: ScorerState,
+    trace: Vec<SegmentTrace>,
 }
 
 impl<'m> OnlineScorer<'m> {
@@ -372,7 +385,7 @@ impl<'m> OnlineScorer<'m> {
         let state = model
             .start_state(source, dest, time_slot)
             .expect("scaling checked; SD segments validated by caller");
-        OnlineScorer { model, state }
+        OnlineScorer::from_state(model, state)
     }
 
     pub(crate) fn try_new(
@@ -381,15 +394,17 @@ impl<'m> OnlineScorer<'m> {
         dest: u32,
         time_slot: u8,
     ) -> Result<Self, OnlineError> {
-        Ok(OnlineScorer { model, state: model.start_state(source, dest, time_slot)? })
+        Ok(OnlineScorer::from_state(model, model.start_state(source, dest, time_slot)?))
     }
 
-    /// Resumes a scorer from a previously detached state.
+    /// Resumes a scorer from a previously detached state. The trace starts
+    /// empty: it covers the segments pushed through this scorer.
     pub fn from_state(model: &'m CausalTad, state: ScorerState) -> Self {
-        OnlineScorer { model, state }
+        OnlineScorer { model, state, trace: Vec::new() }
     }
 
-    /// Detaches the owned state (e.g. to park a session).
+    /// Detaches the owned state (e.g. to park a session); the trace is
+    /// dropped.
     pub fn into_state(self) -> ScorerState {
         self.state
     }
@@ -402,7 +417,9 @@ impl<'m> OnlineScorer<'m> {
     /// Consumes the next observed segment and returns the updated anomaly
     /// score. O(1) in the number of segments seen so far.
     pub fn push(&mut self, seg: u32) -> f64 {
-        self.model.push_state(&mut self.state, seg)
+        let step = self.model.step_state(&mut self.state, seg);
+        self.trace.push(step);
+        step.score
     }
 
     /// Current debiased anomaly score (Eq. 10). Higher = more anomalous.
@@ -431,9 +448,10 @@ impl<'m> OnlineScorer<'m> {
         self.state.is_empty()
     }
 
-    /// Per-segment contributions (the data behind Fig. 4).
+    /// Per-segment contributions of every segment pushed through this
+    /// scorer (the data behind Fig. 4).
     pub fn trace(&self) -> &[SegmentTrace] {
-        self.state.trace()
+        &self.trace
     }
 }
 
@@ -474,7 +492,7 @@ mod tests {
 
     #[test]
     fn debiased_trace_applies_lambda() {
-        let step = SegmentTrace { segment: 0, nll: 3.0, log_scale: 2.0 };
+        let step = SegmentTrace { segment: 0, nll: 3.0, log_scale: 2.0, score: 0.0 };
         assert!((step.debiased(0.5) - 2.0).abs() < 1e-12);
         assert!((step.debiased(0.0) - 3.0).abs() < 1e-12);
     }
@@ -562,10 +580,10 @@ mod tests {
             let segs: Vec<u32> = wave.iter().map(|&i| trips[i].segments[step].0).collect();
             let mut wave_states: Vec<ScorerState> =
                 wave.iter().map(|&i| std::mem::take(&mut states[i])).collect();
-            let scores = model.push_batch(Some(&cache), &mut wave_states, &segs);
-            for ((&i, st), score) in wave.iter().zip(wave_states).zip(scores) {
+            let steps = model.push_batch(Some(&cache), &mut wave_states, &segs);
+            for ((&i, st), step) in wave.iter().zip(wave_states).zip(steps) {
                 states[i] = st;
-                final_scores[i] = score;
+                final_scores[i] = step.score;
             }
         }
 

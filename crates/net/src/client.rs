@@ -333,7 +333,7 @@ impl Client {
             c.flush_writes()?;
             loop {
                 match c.read_one()? {
-                    Response::Snapshot { image } => return Ok(image),
+                    Response::Snapshot { image, .. } => return Ok(image),
                     resp => c.queue_or_fail(resp)?,
                 }
             }

@@ -15,18 +15,19 @@
 //! Like every envelope codec in the workspace, decoding is **total** —
 //! truncated, bit-flipped, wrong-magic, wrong-version, or
 //! crafted-huge-length inputs all come back as a [`FrameError`], never a
-//! panic (property-tested in the repository's `tests/props.rs`).
+//! panic (property-tested in the repository's `tests/props.rs`). Version 1
+//! frames (whose `TripComplete` carried a per-segment trace and whose
+//! `Snapshot` carried no epoch) decode to [`FrameError::BadVersion`].
 
 use bytes::{Buf, BufMut, Bytes};
 use causaltad::envelope::{open_envelope, seal_envelope_into, EnvelopeError, ENVELOPE_OVERHEAD};
-use causaltad::SegmentTrace;
 use tad_metrics::{snapshot_from_bytes, snapshot_to_bytes, MetricsSnapshot};
 use tad_serve::{Completion, Event, FleetSnapshot, PolicyAction, ScoreUpdate, TripId, TripOutcome};
 
 /// Magic bytes opening every wire frame.
 pub const FRAME_MAGIC: &[u8; 4] = b"TADN";
 /// Wire-format version carried in every frame header.
-pub const FRAME_VERSION: u16 = 1;
+pub const FRAME_VERSION: u16 = 2;
 /// Default cap on a frame's payload length (64 MiB) — what a reader will
 /// allocate for one frame before distrusting the peer. Snapshot frames of
 /// very large fleets may need a higher cap on both ends.
@@ -152,7 +153,8 @@ impl From<Event> for Request {
 }
 
 /// Final scoring result of a trip as carried on the wire — the network
-/// image of [`TripOutcome`]. The segment count is the trace length.
+/// image of [`TripOutcome`]. Fixed-size: each segment's score
+/// decomposition already travelled in its [`Response::Score`] frame.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TripComplete {
     /// The finished trip.
@@ -165,14 +167,14 @@ pub struct TripComplete {
     pub likelihood_nll: f64,
     /// Accumulated scaling sum `Σ_i log E[1/P(t_i|e_i)]`.
     pub scale_log_sum: f64,
-    /// Per-segment score decomposition; one entry per consumed segment.
-    pub trace: Vec<SegmentTrace>,
+    /// Number of segments the trip consumed.
+    pub segments: u32,
 }
 
 impl TripComplete {
     /// Number of segments the trip consumed.
     pub fn segments(&self) -> usize {
-        self.trace.len()
+        self.segments as usize
     }
 }
 
@@ -184,7 +186,7 @@ impl From<TripOutcome> for TripComplete {
             score: outcome.score,
             likelihood_nll: outcome.likelihood_nll,
             scale_log_sum: outcome.scale_log_sum,
-            trace: outcome.trace,
+            segments: outcome.segments as u32,
         }
     }
 }
@@ -317,6 +319,11 @@ pub enum Response {
     /// [`tad_serve::FleetImage`] (`TADF` blob) ready for
     /// [`tad_serve::image_from_bytes`] and a warm restart elsewhere.
     Snapshot {
+        /// The checkpoint epoch the capture stamped: the `base_epoch` every
+        /// later [`Response::Delta`] of the same backend names until the
+        /// next capture. 0 when the image starts no delta chain (a
+        /// router's merged image).
+        epoch: u64,
         /// The snapshot blob.
         image: Bytes,
     },
@@ -473,7 +480,7 @@ pub fn request_to_bytes(req: &Request) -> Bytes {
 /// Serialises one response frame (envelope included).
 pub fn response_to_bytes(resp: &Response) -> Bytes {
     let blob_len = match resp {
-        Response::Snapshot { image } | Response::Drained { image } => image.len(),
+        Response::Snapshot { image, .. } | Response::Drained { image } => image.len(),
         Response::Delta { delta } => delta.len(),
         _ => 0,
     };
@@ -496,12 +503,7 @@ pub fn response_to_bytes(resp: &Response) -> Bytes {
                 payload.put_f64_le(tc.score);
                 payload.put_f64_le(tc.likelihood_nll);
                 payload.put_f64_le(tc.scale_log_sum);
-                payload.put_u32_le(tc.trace.len() as u32);
-                for step in &tc.trace {
-                    payload.put_u32_le(step.segment);
-                    payload.put_f64_le(step.nll);
-                    payload.put_f64_le(step.log_scale);
-                }
+                payload.put_u32_le(tc.segments);
             }
             Response::Stats(s) => {
                 payload.put_u8(TAG_STATS);
@@ -546,10 +548,11 @@ pub fn response_to_bytes(resp: &Response) -> Bytes {
                 payload.put_u16_le(cut as u16);
                 payload.put_slice(&detail.as_bytes()[..cut]);
             }
-            Response::Snapshot { image } => {
+            Response::Snapshot { epoch, image } => {
                 // The image is the remainder of the payload: the envelope's
                 // own length prefix already delimits it exactly.
                 payload.put_u8(TAG_SNAPSHOT);
+                payload.put_u64_le(*epoch);
                 payload.put_slice(image);
             }
             Response::Metrics(snapshot) => {
@@ -675,27 +678,13 @@ pub fn response_from_bytes(bytes: Bytes) -> Result<Response, FrameError> {
             let id = payload.get_u64_le();
             let completion = completion_from_byte(payload.get_u8())
                 .ok_or(FrameError::Malformed("completion code"))?;
-            let score = payload.get_f64_le();
-            let likelihood_nll = payload.get_f64_le();
-            let scale_log_sum = payload.get_f64_le();
-            let trace_len = payload.get_u32_le() as usize;
-            if trace_len.checked_mul(20).is_none_or(|need| payload.remaining() < need) {
-                return Err(FrameError::Truncated("trace entries"));
-            }
-            let mut trace = Vec::with_capacity(trace_len);
-            for _ in 0..trace_len {
-                let segment = payload.get_u32_le();
-                let nll = payload.get_f64_le();
-                let log_scale = payload.get_f64_le();
-                trace.push(SegmentTrace { segment, nll, log_scale });
-            }
             Response::TripComplete(TripComplete {
                 id,
                 completion,
-                score,
-                likelihood_nll,
-                scale_log_sum,
-                trace,
+                score: payload.get_f64_le(),
+                likelihood_nll: payload.get_f64_le(),
+                scale_log_sum: payload.get_f64_le(),
+                segments: payload.get_u32_le(),
             })
         }
         TAG_STATS => {
@@ -765,8 +754,12 @@ pub fn response_from_bytes(bytes: Bytes) -> Result<Response, FrameError> {
             Response::Error { code, trip, retry_after_ms, detail }
         }
         TAG_SNAPSHOT => {
+            if payload.remaining() < 8 {
+                return Err(FrameError::Truncated("snapshot epoch"));
+            }
+            let epoch = payload.get_u64_le();
             let len = payload.remaining();
-            Response::Snapshot { image: payload.copy_to_bytes(len) }
+            Response::Snapshot { epoch, image: payload.copy_to_bytes(len) }
         }
         TAG_METRICS => {
             let len = payload.remaining();
@@ -867,10 +860,7 @@ mod tests {
                 score: 2.5,
                 likelihood_nll: 3.0,
                 scale_log_sum: 0.5,
-                trace: vec![
-                    SegmentTrace { segment: 1, nll: 0.0, log_scale: 0.1 },
-                    SegmentTrace { segment: 2, nll: 1.5, log_scale: 0.2 },
-                ],
+                segments: 2,
             }),
             Response::Stats(FleetSnapshot {
                 events_ingested: 1,
@@ -924,7 +914,7 @@ mod tests {
                 retry_after_ms: None,
                 detail: String::new(),
             },
-            Response::Snapshot { image: Bytes::from(vec![1u8, 2, 3, 4]) },
+            Response::Snapshot { epoch: 3, image: Bytes::from(vec![1u8, 2, 3, 4]) },
             Response::Metrics(sample_metrics()),
             Response::Metrics(MetricsSnapshot::default()),
             Response::PolicyNotice { id: 7, action: PolicyAction::Reordered, seg: Some(42) },
@@ -1015,7 +1005,7 @@ mod tests {
         raw.extend_from_slice(&u64::MAX.to_le_bytes());
         raw.extend_from_slice(&[0u8; 16]);
         assert_eq!(request_from_bytes(raw.into()), Err(FrameError::Truncated("payload")));
-        // A checksummed trip-complete claiming a near-u32::MAX trace.
+        // A checksummed trip-complete whose segment count is cut off.
         let mut payload = BytesMut::new();
         payload.put_u8(TAG_TRIP_COMPLETE);
         payload.put_u64_le(1);
@@ -1023,17 +1013,20 @@ mod tests {
         payload.put_f64_le(0.0);
         payload.put_f64_le(0.0);
         payload.put_f64_le(0.0);
-        payload.put_u32_le(u32::MAX);
         let blob = seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze());
-        assert_eq!(response_from_bytes(blob), Err(FrameError::Truncated("trace entries")));
-        // A snapshot body has no inner length to lie about: it is exactly
-        // the payload remainder, so even an empty image decodes cleanly.
+        assert_eq!(response_from_bytes(blob), Err(FrameError::Truncated("trip-complete body")));
+        // A snapshot body has no inner length to lie about: after the
+        // epoch it is exactly the payload remainder, so even an empty
+        // image decodes cleanly.
         let mut payload = BytesMut::new();
         payload.put_u8(TAG_SNAPSHOT);
+        let blob = seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.clone().freeze());
+        assert_eq!(response_from_bytes(blob), Err(FrameError::Truncated("snapshot epoch")));
+        payload.put_u64_le(7);
         let blob = seal_envelope(FRAME_MAGIC, FRAME_VERSION, payload.freeze());
         assert_eq!(
             response_from_bytes(blob),
-            Ok(Response::Snapshot { image: Bytes::from(Vec::new()) })
+            Ok(Response::Snapshot { epoch: 7, image: Bytes::from(Vec::new()) })
         );
     }
 

@@ -1314,11 +1314,14 @@ impl<S: EventSource<T>, T: Read + Write> EventLoop<S, T> {
             // The capture doubles as a checkpoint: every wire snapshot
             // (re)starts the engine's delta chain, so a follow-up
             // `DeltaRequest` covers exactly the churn after this image.
-            // The image itself is bit-identical to a plain capture.
+            // The image itself is bit-identical to a plain capture; the
+            // reply names the new chain's epoch, so a peer folding deltas
+            // into it can tell a chain re-based by someone else.
             Request::SnapshotRequest => match engine.checkpoint() {
-                Ok((image, _epoch)) => {
-                    out.push_always(Response::Snapshot { image: tad_serve::image_to_bytes(&image) })
-                }
+                Ok((image, epoch)) => out.push_always(Response::Snapshot {
+                    epoch,
+                    image: tad_serve::image_to_bytes(&image),
+                }),
                 Err(e) => out.push_always(Response::Error {
                     code: ErrorCode::SnapshotFailed,
                     trip: None,

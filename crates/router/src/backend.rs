@@ -115,8 +115,14 @@ pub(crate) struct MuxLink {
 /// (`Snapshot` reply) or the next increment of the backend's delta chain
 /// (`Delta` reply).
 pub(crate) enum CaptureReply {
-    /// A full `TADF` fleet image.
-    Full(Bytes),
+    /// A full `TADF` fleet image and the checkpoint epoch the backend
+    /// stamped on it.
+    Full {
+        /// The epoch later deltas of this backend's chain name.
+        epoch: u64,
+        /// The image blob.
+        image: Bytes,
+    },
     /// A `TADD` delta blob.
     Delta(Bytes),
 }

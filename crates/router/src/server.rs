@@ -62,7 +62,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::BufWriter;
-use std::mem;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
@@ -333,60 +332,21 @@ struct PartitionMap {
     slots: Vec<u32>,
 }
 
-/// The recovery base a dead backend would be restored from: the image of
-/// its last completed checkpoint, kept either verbatim or as a delta
-/// chain folded down eagerly (a [`DeltaBase`] *is* the folded image plus
-/// chain bookkeeping, so promotion never replays deltas — it is always
-/// install-image-then-replay-tail).
-enum RecoveryBase {
-    /// A plain image; the backend-side delta chain (if any) is not yet
-    /// linked to it.
-    Plain(FleetImage),
-    /// An image tracking the backend's delta chain: `TADD` increments
-    /// apply directly.
-    Chained(DeltaBase),
-}
-
-impl RecoveryBase {
-    fn image(&self) -> &FleetImage {
-        match self {
-            RecoveryBase::Plain(image) => image,
-            RecoveryBase::Chained(base) => base.image(),
-        }
-    }
-
-    /// Folds one decoded `TADD` increment into the base, by move. A
-    /// `Plain` base adopts the chain lazily when the first increment
-    /// (`seq == 1`) arrives — that is how the router learns the epoch the
-    /// backend armed at the full capture that produced this base.
-    fn apply_delta(&mut self, delta: FleetDelta) -> Result<(), String> {
-        match self {
-            RecoveryBase::Chained(base) => {
-                base.apply(delta).map_err(|e| format!("delta chain broken: {e}"))
-            }
-            RecoveryBase::Plain(image) => {
-                if delta.seq != 1 {
-                    return Err(format!(
-                        "delta seq {} does not start a fresh chain over a plain base",
-                        delta.seq
-                    ));
-                }
-                let mut base = DeltaBase::new(mem::take(image), delta.base_epoch);
-                base.apply(delta).map_err(|e| format!("delta chain broken: {e}"))?;
-                *self = RecoveryBase::Chained(base);
-                Ok(())
-            }
-        }
-    }
-}
+/// The epoch of a journal base that tracks no backend delta chain (the
+/// empty starting fleet, an installed image, a router's merged image).
+/// Engines stamp checkpoint epochs from 1, so no delta ever extends it.
+const NO_CHAIN: u64 = 0;
 
 /// One link's bounded recovery journal: the checkpoint base plus every
-/// ingest frame forwarded since the checkpoint cut. `base + frames`
+/// ingest frame forwarded since the checkpoint cut. The base is the image
+/// of the last completed capture, kept as a [`DeltaBase`] at the epoch
+/// that capture named, so `TADD` increments fold into it by move and
+/// promotion never replays deltas. `base + frames`
 /// replayed onto a fresh backend reproduces the dead backend's state and
 /// score stream bit-identically — *if* `tail_ok` (the tail is complete:
 /// no overflow, no poisoned frame since the base was taken).
 struct Journal {
-    base: RecoveryBase,
+    base: DeltaBase,
     frames: Vec<Request>,
     /// True when `base + frames` is a faithful reconstruction.
     tail_ok: bool,
@@ -397,16 +357,6 @@ struct Journal {
     /// wire: everything before it is covered by the capture reply and is
     /// dropped when the reply applies.
     pending_cut: Option<usize>,
-    /// True when the backend's delta chain provably continues this base,
-    /// i.e. a `DeltaRequest` increment would apply cleanly. A front
-    /// `SnapshotRequest` barrier re-arms the backend's chain at an epoch
-    /// the router never sees, so staging one disarms the journal.
-    armed: bool,
-    /// Bumped whenever something invalidates the chain linkage
-    /// out-of-band (a front snapshot barrier); captures compare it
-    /// across their stage→apply window so a full capture cannot re-arm
-    /// over a chain that was re-based mid-flight.
-    chain_breaks: u64,
     limit: usize,
 }
 
@@ -415,13 +365,11 @@ impl Journal {
         Journal {
             // A fresh backend is an empty fleet: the empty image plus
             // everything ever forwarded is a faithful tail from frame 0.
-            base: RecoveryBase::Plain(FleetImage::default()),
+            base: DeltaBase::new(FleetImage::default(), NO_CHAIN),
             frames: Vec::new(),
             tail_ok: enabled,
             recording: enabled,
             pending_cut: None,
-            armed: false,
-            chain_breaks: 0,
             limit,
         }
     }
@@ -469,20 +417,29 @@ impl Journal {
         self.pending_cut = None;
     }
 
-    /// A full image reply applies: it covers everything before the cut.
-    /// `breaks_at_stage` guards the re-arm — see [`Journal::chain_breaks`].
-    fn apply_full(&mut self, image: FleetImage, breaks_at_stage: u64) {
+    /// Whether the base tracks a backend delta chain, so the next capture
+    /// can be a `DeltaRequest`. Whoever else re-bases that chain (a
+    /// `SnapshotRequest` from a front barrier or straight to the backend)
+    /// makes the next delta fail to link, and the sweep falls back to a
+    /// full capture.
+    fn armed(&self) -> bool {
+        self.base.epoch() != NO_CHAIN
+    }
+
+    /// A full image reply applies: it covers everything before the cut
+    /// and starts a chain at the `epoch` the backend stamped on it.
+    fn apply_full(&mut self, image: FleetImage, epoch: u64) {
         let cut = self.pending_cut.take().unwrap_or(0).min(self.frames.len());
         self.frames.drain(..cut);
-        self.base = RecoveryBase::Plain(image);
-        self.armed = breaks_at_stage == self.chain_breaks;
+        self.base = DeltaBase::new(image, epoch);
         self.tail_ok = self.recording;
     }
 
-    /// A delta reply applies: fold it into the base, then drop the
+    /// A delta reply applies: fold it into the base (a delta that does
+    /// not extend the base's chain is refused typed), then drop the
     /// covered prefix exactly as a full capture would.
     fn apply_delta(&mut self, delta: FleetDelta) -> Result<(), String> {
-        self.base.apply_delta(delta)?;
+        self.base.apply(delta).map_err(|e| format!("delta chain broken: {e}"))?;
         let cut = self.pending_cut.take().unwrap_or(0).min(self.frames.len());
         self.frames.drain(..cut);
         self.tail_ok = self.recording;
@@ -494,21 +451,12 @@ impl Journal {
         self.tail_ok
     }
 
-    /// A front snapshot barrier re-based the backend's delta chain out
-    /// from under the router: the next capture must be a full image.
-    fn break_chain(&mut self) {
-        self.armed = false;
-        self.chain_breaks += 1;
-    }
-
     /// The backend's state was just replaced wholesale (an `Install`):
     /// the journal restarts from exactly that image.
     fn reset_to(&mut self, image: FleetImage, enabled: bool) {
-        self.base = RecoveryBase::Plain(image);
+        self.base = DeltaBase::new(image, NO_CHAIN);
         self.frames.clear();
         self.pending_cut = None;
-        self.armed = false;
-        self.chain_breaks += 1;
         self.recording = enabled;
         self.tail_ok = enabled;
     }
@@ -521,9 +469,6 @@ struct StagedCapture {
     /// `DeltaRequest` (true) or `SnapshotRequest` (false).
     delta: bool,
     rx: Receiver<Result<CaptureReply, String>>,
-    /// The journal's `chain_breaks` at stage time; see
-    /// [`Journal::chain_breaks`].
-    breaks_at_stage: u64,
 }
 
 /// The router's handle on one backend connection.
@@ -871,12 +816,12 @@ impl Core {
                 Some(other) => self.desync(other),
                 None => self.dropped(),
             },
-            Response::Snapshot { image } => match self.links[idx as usize].pending.pop() {
+            Response::Snapshot { epoch, image } => match self.links[idx as usize].pending.pop() {
                 Some(PendingEntry::Barrier(BarrierKind::Snapshot, bid)) => {
                     self.contribute(bid, |b| b.images.push((idx, image)));
                 }
                 Some(PendingEntry::Checkpoint(tx)) => {
-                    let _ = tx.try_send(Ok(CaptureReply::Full(image)));
+                    let _ = tx.try_send(Ok(CaptureReply::Full { epoch, image }));
                 }
                 Some(other) => self.desync(other),
                 None => self.dropped(),
@@ -1207,11 +1152,7 @@ impl Core {
             };
             let _stage = link.stage.write().expect("stage lock");
             link.pending.push(PendingEntry::Barrier(kind, bid));
-            if link.tx.send(BackendMsg::Forward(frame)).is_ok() {
-                if matches!(kind, BarrierKind::Snapshot) {
-                    link.journal.lock().expect("journal lock").break_chain();
-                }
-            } else {
+            if link.tx.send(BackendMsg::Forward(frame)).is_err() {
                 link.pending
                     .unstage_tail(|e| matches!(e, PendingEntry::Barrier(_, b) if *b == bid));
                 self.contribute(bid, |b| {
@@ -1320,7 +1261,7 @@ impl Core {
     /// Stages one link's turn in a checkpoint sweep: a delta capture when
     /// the chain is armed, a full image capture otherwise.
     fn stage_checkpoint(&self, idx: u32) -> Result<StagedCapture, String> {
-        let armed = self.links[idx as usize].journal.lock().expect("journal lock").armed;
+        let armed = self.links[idx as usize].journal.lock().expect("journal lock").armed();
         self.stage_capture(idx, armed)
     }
 
@@ -1367,7 +1308,7 @@ impl Core {
             return Err(format!("backend {idx} is down"));
         }
         journal.stage_cut(self.journaling);
-        Ok(StagedCapture { idx, delta, rx, breaks_at_stage: journal.chain_breaks })
+        Ok(StagedCapture { idx, delta, rx })
     }
 
     /// The finish half: block for the staged capture's reply, decode it
@@ -1376,13 +1317,13 @@ impl Core {
     /// the journal as it was, when the capture failed.
     fn finish_capture(&self, staged: StagedCapture) -> Result<(), String> {
         enum Decoded {
-            Full(FleetImage),
+            Full(FleetImage, u64),
             Delta(FleetDelta),
         }
-        let StagedCapture { idx, rx, breaks_at_stage, .. } = staged;
+        let StagedCapture { idx, rx, .. } = staged;
         let decoded = match rx.recv() {
-            Ok(Ok(CaptureReply::Full(blob))) => image_from_bytes(blob)
-                .map(Decoded::Full)
+            Ok(Ok(CaptureReply::Full { epoch, image })) => image_from_bytes(image)
+                .map(|image| Decoded::Full(image, epoch))
                 .map_err(|e| format!("backend {idx} snapshot undecodable: {e}")),
             Ok(Ok(CaptureReply::Delta(blob))) => delta_from_bytes(blob)
                 .map(Decoded::Delta)
@@ -1394,8 +1335,8 @@ impl Core {
         let _stage = link.stage.write().expect("stage lock");
         let mut journal = link.journal.lock().expect("journal lock");
         let applied = match decoded {
-            Ok(Decoded::Full(image)) => {
-                journal.apply_full(image, breaks_at_stage);
+            Ok(Decoded::Full(image, epoch)) => {
+                journal.apply_full(image, epoch);
                 Ok(())
             }
             Ok(Decoded::Delta(delta)) => journal.apply_delta(delta),
@@ -1670,9 +1611,10 @@ impl Core {
                             retry_after_ms: None,
                             detail,
                         },
-                        None => {
-                            Response::Snapshot { image: image_to_bytes(&FleetImage::merge(images)) }
-                        }
+                        None => Response::Snapshot {
+                            epoch: NO_CHAIN,
+                            image: image_to_bytes(&FleetImage::merge(images)),
+                        },
                     }
                 }
                 BarrierKind::Metrics => {
@@ -1945,13 +1887,6 @@ fn handle_barrier(
         link.pending.push(PendingEntry::Barrier(kind, bid));
         if link.tx.send(BackendMsg::Forward(req.clone())).is_ok() {
             sent += 1;
-            if matches!(kind, BarrierKind::Snapshot) {
-                // The backend answers a SnapshotRequest by re-arming its
-                // delta chain at an epoch the router never learns: the
-                // journal's chain linkage is broken until the next full
-                // capture.
-                link.journal.lock().expect("journal lock").break_chain();
-            }
         } else {
             // The writer is gone; undo the stage. Nobody staged after us
             // (we hold the stage lock), so the entry — if the down sweep

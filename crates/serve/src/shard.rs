@@ -7,7 +7,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use causaltad::{CausalTad, ScorerState, StepCache, OFF_GRAPH_NLL};
+use causaltad::{CausalTad, ScorerState, SegmentTrace, StepCache, OFF_GRAPH_NLL};
 
 use crate::engine::{CompletionCallback, FleetConfig, ScoreCallback};
 use crate::event::{Completion, Event, ScoreUpdate, TripId, TripOutcome};
@@ -80,10 +80,9 @@ pub(crate) struct ShardCtx {
 }
 
 impl ShardCtx {
-    /// Per-segment bookkeeping after a model step scored `state`'s newest
+    /// Per-segment bookkeeping after a model `step` scored `state`'s newest
     /// segment: the off-graph counter, then the `on_score` delivery.
-    fn deliver_score(&self, id: TripId, state: &ScorerState, score: f64) {
-        let step = *state.trace().last().expect("a segment was just scored");
+    fn deliver_score(&self, id: TripId, state: &ScorerState, step: SegmentTrace) {
         if step.nll == OFF_GRAPH_NLL {
             FleetStats::bump(&self.stats.off_graph_hits);
         }
@@ -92,7 +91,7 @@ impl ShardCtx {
                 id,
                 seq: (state.len() - 1) as u32,
                 segment: step.segment,
-                score,
+                score: step.score,
                 nll: step.nll,
                 log_scale: step.log_scale,
             });
@@ -144,7 +143,6 @@ impl ShardCtx {
                 likelihood_nll: state.likelihood_nll(),
                 scale_log_sum: state.scale_log_sum(),
                 segments: state.len(),
-                trace: state.into_trace(),
             });
         }
     }
@@ -339,12 +337,12 @@ fn restore_sessions(
         }
         // Segments that were pending at capture time would stall in the
         // store (only freshly touched trips drain their queues), so score
-        // them now — push_state is bit-identical to the batched path,
+        // them now — step_state is bit-identical to the batched path,
         // including the off-graph accounting.
         for &seg in &pending {
-            let score = ctx.model.push_state(&mut state, seg);
+            let step = ctx.model.step_state(&mut state, seg);
             FleetStats::bump(&ctx.stats.segments_scored);
-            ctx.deliver_score(id, &state, score);
+            ctx.deliver_score(id, &state, step);
         }
         FleetStats::bump(&ctx.stats.sessions_restored);
         let idle = Duration::from_micros(idle_micros);
@@ -517,7 +515,7 @@ fn process_batch(
             break;
         }
         let wave_started = Instant::now();
-        let scores = ctx.model.push_batch(ctx.cache.as_deref(), &mut wave, &wave_segs);
+        let steps = ctx.model.push_batch(ctx.cache.as_deref(), &mut wave, &wave_segs);
         // One relaxed record per wave, attributed to every segment it
         // scored: the per-segment cost of the latency histogram stays a
         // fraction of an atomic op at realistic widths.
@@ -526,8 +524,8 @@ fn process_batch(
         ctx.metrics.batch_width.record(wave.len() as u64);
         FleetStats::bump(&ctx.stats.batches);
         FleetStats::add(&ctx.stats.segments_scored, wave.len() as u64);
-        for ((state, &id), score) in wave.iter().zip(&wave_ids).zip(scores) {
-            ctx.deliver_score(id, state, score);
+        for ((state, &id), step) in wave.iter().zip(&wave_ids).zip(steps) {
+            ctx.deliver_score(id, state, step);
         }
     }
     for (id, state, pending) in work {
@@ -604,14 +602,14 @@ fn admit_gap(
         }
         GapPolicy::Reset => {
             // Everything queued ahead must score against the pre-jump
-            // context first — push_state is bit-identical to the batched
+            // context first — step_state is bit-identical to the batched
             // path, including the off-graph accounting — then the Markov
             // predecessor is forgotten so the jump target opens a fresh
             // leg (charged like a first segment).
             while let Some(queued) = session.pending.pop_front() {
-                let score = ctx.model.push_state(&mut session.state, queued);
+                let step = ctx.model.step_state(&mut session.state, queued);
                 FleetStats::bump(&ctx.stats.segments_scored);
-                ctx.deliver_score(id, &session.state, score);
+                ctx.deliver_score(id, &session.state, step);
             }
             session.state.reset_context();
             ctx.metrics.trip_resets.add(1);

@@ -348,15 +348,7 @@ mod tests {
     fn record(id: TripId, idle_micros: u64) -> SessionRecord {
         SessionRecord {
             id,
-            state: ScorerState::from_parts(
-                vec![0.25, -1.5, 3.0],
-                1.25,
-                2.5,
-                -0.75,
-                Some(4),
-                2,
-                vec![causaltad::SegmentTrace { segment: 4, nll: 0.5, log_scale: 0.1 }],
-            ),
+            state: ScorerState::from_parts(vec![0.25, -1.5, 3.0], 1.25, 2.5, -0.75, Some(4), 2, 1),
             pending: vec![7, 9],
             ending: false,
             idle_micros,

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use causaltad_suite::core::{
     seal_envelope, state_from_bytes, state_to_bytes, write_state, DeltaChainError, ScorerState,
-    SegmentTrace, StateCodecError,
+    StateCodecError,
 };
 use causaltad_suite::metrics::{
     snapshot_from_bytes, snapshot_to_bytes, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
@@ -42,19 +42,11 @@ const MAX_SNAPSHOT_SESSIONS: usize = 64;
 
 /// Deterministically builds an arbitrary live-looking scorer state: random
 /// hidden width (including the inert zero-width placeholder), random score
-/// accumulators, and a random-length trace.
+/// accumulators, and a random segment count (the full `u32` range).
 fn arb_state(rng: &mut StdRng) -> ScorerState {
     let hidden_width = rng.gen_range(0usize..48);
     let hidden: Vec<f32> = (0..hidden_width).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
     let last = if rng.gen_bool(0.8) { Some(rng.gen_range(0u32..10_000)) } else { None };
-    let trace_len = rng.gen_range(0usize..24);
-    let trace: Vec<SegmentTrace> = (0..trace_len)
-        .map(|_| SegmentTrace {
-            segment: rng.gen_range(0u32..10_000),
-            nll: rng.gen_range(-50.0f64..50.0),
-            log_scale: rng.gen_range(-5.0f64..5.0),
-        })
-        .collect();
     ScorerState::from_parts(
         hidden,
         rng.gen_range(-100.0f64..100.0),
@@ -62,8 +54,56 @@ fn arb_state(rng: &mut StdRng) -> ScorerState {
         rng.gen_range(-100.0f64..100.0),
         last,
         rng.gen_range(0u8..96),
-        trace,
+        rng.next_u32() >> rng.gen_range(0u32..32),
     )
+}
+
+/// Appends `len` random version-1 trace entries (segment u32, nll f64,
+/// log-scale f64) — the per-segment payload version 1 of the `TADC`
+/// blob and of the `TripComplete` frame carried.
+fn put_v1_trace(out: &mut Vec<u8>, len: u32, rng: &mut StdRng) {
+    out.extend_from_slice(&len.to_le_bytes());
+    for _ in 0..len {
+        out.extend_from_slice(&rng.gen_range(0u32..10_000).to_le_bytes());
+        out.extend_from_slice(&rng.gen_range(-50.0f64..50.0).to_le_bytes());
+        out.extend_from_slice(&rng.gen_range(-5.0f64..5.0).to_le_bytes());
+    }
+}
+
+/// A well-formed version-1 `TADC` blob of `state`: the layout before the
+/// per-segment trace left the session state.
+fn v1_state_blob(state: &ScorerState, rng: &mut StdRng) -> Vec<u8> {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&(state.hidden_width() as u32).to_le_bytes());
+    for x in state.hidden() {
+        payload.extend_from_slice(&x.to_le_bytes());
+    }
+    payload.extend_from_slice(&state.base_nll().to_le_bytes());
+    payload.extend_from_slice(&(state.likelihood_nll() - state.base_nll()).to_le_bytes());
+    payload.extend_from_slice(&state.scale_log_sum().to_le_bytes());
+    match state.last_segment() {
+        Some(seg) => {
+            payload.push(1);
+            payload.extend_from_slice(&seg.to_le_bytes());
+        }
+        None => payload.push(0),
+    }
+    payload.push(state.time_slot());
+    put_v1_trace(&mut payload, state.len().min(64) as u32, rng);
+    seal_envelope(b"TADC", 1, payload.into()).to_vec()
+}
+
+/// A well-formed version-1 `TADN` `TripComplete` frame (tag `0x11`), trace
+/// included.
+fn v1_trip_complete_frame(rng: &mut StdRng) -> Vec<u8> {
+    let mut payload = vec![0x11];
+    payload.extend_from_slice(&rng.next_u64().to_le_bytes());
+    payload.push(rng.gen_range(0u8..4));
+    for _ in 0..3 {
+        payload.extend_from_slice(&rng.gen_range(-100.0f64..100.0).to_le_bytes());
+    }
+    put_v1_trace(&mut payload, rng.gen_range(0u32..24), rng);
+    seal_envelope(FRAME_MAGIC, 1, payload.into()).to_vec()
 }
 
 fn arb_record(id: u64, rng: &mut StdRng) -> SessionRecord {
@@ -135,17 +175,6 @@ fn arb_metrics(rng: &mut StdRng) -> MetricsSnapshot {
     registry.snapshot()
 }
 
-fn arb_trace(rng: &mut StdRng) -> Vec<SegmentTrace> {
-    let len = rng.gen_range(0usize..24);
-    (0..len)
-        .map(|_| SegmentTrace {
-            segment: rng.gen_range(0u32..100_000),
-            nll: rng.gen_range(-50.0f64..50.0),
-            log_scale: rng.gen_range(-5.0f64..5.0),
-        })
-        .collect()
-}
-
 /// An arbitrary wire response, covering every frame type.
 fn arb_response(rng: &mut StdRng) -> Response {
     match rng.gen_range(0u8..10) {
@@ -168,7 +197,7 @@ fn arb_response(rng: &mut StdRng) -> Response {
             score: rng.gen_range(-100.0f64..100.0),
             likelihood_nll: rng.gen_range(-100.0f64..100.0),
             scale_log_sum: rng.gen_range(-100.0f64..100.0),
-            trace: arb_trace(rng),
+            segments: rng.next_u32() >> rng.gen_range(0u32..32),
         }),
         2 => Response::Stats(FleetSnapshot {
             events_ingested: rng.gen_range(0u64..u64::MAX),
@@ -207,7 +236,10 @@ fn arb_response(rng: &mut StdRng) -> Response {
         4 => {
             let len = rng.gen_range(0usize..256);
             let image: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
-            Response::Snapshot { image: image.into() }
+            Response::Snapshot {
+                epoch: rng.next_u64() >> rng.gen_range(0u32..64),
+                image: image.into(),
+            }
         }
         5 => Response::PolicyNotice {
             id: rng.gen_range(0u64..u64::MAX),
@@ -419,6 +451,35 @@ proptest! {
         prop_assert_eq!(state_to_bytes(&decoded).to_vec(), blob.to_vec());
     }
 
+    /// A live session encodes to the same number of bytes whatever the
+    /// trip length: after 1, 8 and 40 pushed segments the `TADC` blob and
+    /// the `TADF`/`TADD` session record (the unit of every snapshot, delta
+    /// and router journal) are the same size — the serving state keeps no
+    /// per-segment trace.
+    #[test]
+    fn scorer_state_encoding_is_fixed_size_whatever_the_trip_length(seed in 0u64..10_000) {
+        let (city, model) = trained();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let trip = &city.data.test_id[rng.gen_range(0..city.data.test_id.len())];
+        let sd = trip.sd_pair();
+        let mut state =
+            model.start_state(sd.source.0, sd.dest.0, trip.time_slot).expect("valid request");
+        let mut sizes = Vec::new();
+        for k in 0..40usize {
+            model.push_state(&mut state, trip.segments[k % trip.len()].0);
+            if [1, 8, 40].contains(&state.len()) {
+                let mut record = Vec::new();
+                write_record(&mut record, seed, 0, false, [], &state);
+                sizes.push((state.len(), state_to_bytes(&state).len(), record.len()));
+            }
+        }
+        prop_assert_eq!(sizes.len(), 3);
+        for &(segments, blob, record) in &sizes[1..] {
+            prop_assert!(blob == sizes[0].1, "state blob after {segments} segments: {sizes:?}");
+            prop_assert!(record == sizes[0].2, "session record after {segments} segments: {sizes:?}");
+        }
+    }
+
     /// Fleet snapshots round-trip for any session count, including the
     /// empty fleet and the strategy's maximum.
     #[test]
@@ -438,11 +499,18 @@ proptest! {
 
     /// Corrupt session blobs — truncated anywhere, or with any single bit
     /// flipped — always come back as a typed error, never a panic, and
-    /// header corruption maps to the matching variant.
+    /// header corruption maps to the matching variant. A well-formed
+    /// version-1 blob (per-segment trace included) is `BadVersion(1)`:
+    /// no old-version decode path survives.
     #[test]
     fn corrupt_state_blobs_decode_to_typed_errors(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let blob = state_to_bytes(&arb_state(&mut rng)).to_vec();
+        let state = arb_state(&mut rng);
+        let v1 = v1_state_blob(&state, &mut rng);
+        prop_assert_eq!(state_from_bytes(v1.clone().into()), Err(StateCodecError::BadVersion(1)));
+        let cut = rng.gen_range(0usize..v1.len());
+        prop_assert!(state_from_bytes(v1[..cut].to_vec().into()).is_err(), "v1 cut={cut}");
+        let blob = state_to_bytes(&state).to_vec();
 
         let cut = rng.gen_range(0usize..blob.len());
         prop_assert!(state_from_bytes(blob[..cut].to_vec().into()).is_err(), "cut={cut}");
@@ -640,7 +708,7 @@ proptest! {
     /// The in-place record encoder a shard runs at its quiesce point is
     /// byte-identical to the record layout spelled out field by field
     /// around a standalone `state_to_bytes` blob — for arbitrary records,
-    /// empty pending queues and empty traces included, with the pending
+    /// empty pending queues and zero-segment states included, with the pending
     /// segments split across two queues (a session's pending and held
     /// buffers) and written at an arbitrary offset into a shared buffer.
     /// The `TADD` and `TADF` envelopes built from those records match the
@@ -660,7 +728,7 @@ proptest! {
                 if id % 4 == 1 {
                     let s = rec.state;
                     let (h, last, slot) = (s.hidden().to_vec(), s.last_segment(), s.time_slot());
-                    rec.state = ScorerState::from_parts(h, 0.5, -1.5, 2.0, last, slot, Vec::new());
+                    rec.state = ScorerState::from_parts(h, 0.5, -1.5, 2.0, last, slot, 0);
                 }
                 rec
             })
@@ -818,6 +886,14 @@ proptest! {
     #[test]
     fn corrupt_wire_frames_decode_to_typed_errors(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
+        // A well-formed version-1 frame is `BadVersion(1)` from both
+        // decoders — the version check runs before any tag is read.
+        let v1 = v1_trip_complete_frame(&mut rng);
+        prop_assert_eq!(response_from_bytes(v1.clone().into()), Err(FrameError::BadVersion(1)));
+        prop_assert_eq!(request_from_bytes(v1.clone().into()), Err(FrameError::BadVersion(1)));
+        let cut = rng.gen_range(0usize..v1.len());
+        prop_assert!(response_from_bytes(v1[..cut].to_vec().into()).is_err(), "v1 cut={cut}");
+
         let blob = if rng.gen_bool(0.5) {
             request_to_bytes(&arb_request(&mut rng)).to_vec()
         } else {

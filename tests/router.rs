@@ -1045,6 +1045,83 @@ fn sweep_falls_back_to_full_capture_only_on_the_broken_link() {
     }
 }
 
+/// The chain-adoption gap: a `SnapshotRequest` sent straight to backend
+/// 0 between the router's cold (full) sweep and its first delta sweep
+/// re-bases that backend's chain — swallowing the churn in between —
+/// before the router ever folded a delta into its base. The churn is
+/// split by trip parity so that the even trips move only before the
+/// re-base and the odd trips only after it: folding the re-based delta
+/// over the cold image would resume every even trip from a stale state.
+/// The full capture named its epoch, so the first delta no longer links:
+/// the sweep falls back to a full capture on that link alone, and a
+/// later failover of the re-based backend is still bit-identical and
+/// exactly-once.
+#[test]
+fn direct_snapshot_before_the_first_delta_falls_back_to_a_full_capture() {
+    let (city, model) = trained();
+    let trips: Vec<&Trajectory> = city.data.test_id.iter().take(12).collect();
+    let interleaved = interleave(&trips);
+    let (head, tail) = interleaved.split_at(interleaved.len() / 4);
+    let (churn, rest) = tail.split_at(tail.len() / 2);
+    let parity = |p: u64| churn.iter().filter(move |ev| trip_of(ev) % 2 == p);
+    let events: Vec<Event> =
+        head.iter().chain(parity(0)).chain(parity(1)).chain(rest).copied().collect();
+    let cfg = FleetConfig { num_shards: 2, ..FleetConfig::default() };
+    let reference = in_process(model, &events, cfg.clone());
+
+    let (mut backends, router) = spawn_fleet_with_standbys(model, 2, 1, cfg);
+    let mut client = Client::connect(router.local_addr()).expect("connect");
+    let mut routed = Produced::default();
+    let (mut raw_scores, mut raw_completes) = (0usize, 0usize);
+    let even_churn = parity(0).count();
+    let cuts = [head.len(), head.len() + even_churn, head.len() + churn.len(), events.len()];
+    let mut sent = 0usize;
+    let mut stream_to = |cut: usize, client: &mut Client, routed: &mut Produced| {
+        send_events(client, &events[sent..cut]);
+        sent = cut;
+        client.flush().expect("barrier");
+        let (s, c) = drain_counted(client, routed);
+        raw_scores += s;
+        raw_completes += c;
+    };
+
+    stream_to(cuts[0], &mut client, &mut routed);
+    let sweep = router.checkpoint().expect("cold sweep");
+    assert_eq!((sweep.full_captures, sweep.delta_captures), (2, 0));
+    // Churn the router's base does not hold yet (even trips), then
+    // re-base backend 0's chain out of band: its next delta covers only
+    // what follows (odd trips).
+    stream_to(cuts[1], &mut client, &mut routed);
+    Client::connect(backends[0].local_addr())
+        .expect("direct connect")
+        .snapshot()
+        .expect("direct snapshot");
+    stream_to(cuts[2], &mut client, &mut routed);
+    let sweep = router.checkpoint().expect("first delta sweep");
+    assert_eq!(
+        (sweep.full_captures, sweep.delta_captures),
+        (1, 1),
+        "only the re-based link is full"
+    );
+    assert_eq!(link_counter(&router, 0, "full_captures"), 2);
+    assert_eq!(link_counter(&router, 0, "delta_captures"), 0);
+
+    // Kill the re-based backend and finish the stream through the
+    // failover.
+    backends.remove(0).shutdown();
+    stream_to(cuts[3], &mut client, &mut routed);
+
+    assert_bit_identical(&routed, &reference);
+    assert_eq!(raw_scores, reference.scores.len(), "every score exactly once");
+    assert_eq!(raw_completes, trips.len(), "every completion exactly once");
+    assert_eq!(router.stats().failovers, 1);
+    assert_eq!(router.stats().responses_dropped, 0);
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
 /// A backend killed between sweeps makes the next sweep fail naming it —
 /// and only after every other link's staged capture was finished and
 /// folded in: the survivor's delta chain keeps linking sweep after sweep
@@ -1176,7 +1253,8 @@ fn capture_backpressure_notice_is_pacing_not_a_dropped_response() {
                 };
                 let image = image_to_bytes(&FleetImage::default());
                 write_response(&mut sock, &notice).expect("write notice");
-                write_response(&mut sock, &Response::Snapshot { image }).expect("write image");
+                write_response(&mut sock, &Response::Snapshot { epoch: 1, image })
+                    .expect("write image");
             }
         }
     });
